@@ -3,7 +3,9 @@
 Verbs: check2d, multiplier, checkmono, strongmono, reproduce, explore.
 Input files are UTF-8 JSON in the schemas of the surface and toric
 modules; every run emits a JSON report (stdout or --out) and exits 0
-on a pass, 1 when a violation was found, 2 on an input error.
+on a pass, 1 when a violation was found, 2 on an input error, 3 when
+the input is beyond desk scale (a typed out-of-scale error or an
+exhausted memory allocation).
 """
 
 from __future__ import annotations
@@ -257,6 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(args, t0: float, error: str, code: int) -> int:
+    report = {
+        "command": args.verb,
+        "error": error,
+        "status": "error",
+        "wall_time_ms": int((time.time() - t0) * 1000),
+    }
+    _emit(report, getattr(args, "out", None))
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -264,15 +278,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, t0)
     except ParseError as exc:
-        report = {
-            "command": args.verb,
-            "error": str(exc),
-            "status": "error",
-            "wall_time_ms": int((time.time() - t0) * 1000),
-        }
-        _emit(report, getattr(args, "out", None))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, t0, str(exc), 2)
     except (
         sf.ModelError,
         sf.NotAntiNefError,
@@ -285,15 +291,9 @@ def main(argv=None) -> int:
         px.NoQualifyingCycleError,
         tc.RingMismatchError,
     ) as exc:
-        report = {
-            "command": args.verb,
-            "error": f"{type(exc).__name__}: {exc}",
-            "status": "error",
-            "wall_time_ms": int((time.time() - t0) * 1000),
-        }
-        _emit(report, getattr(args, "out", None))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 2)
+    except (tc.OutOfScaleError, MemoryError) as exc:
+        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 3)
 
 
 if __name__ == "__main__":

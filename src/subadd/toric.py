@@ -8,21 +8,26 @@ multiplier ideal is the interior-point test: the monomial with exponent
 v lies in the multiplier ideal of I at exponent c exactly when v + 1
 (the all-ones shift) is interior to c times the Newton polyhedron of I.
 
-The enumeration engine behind minimal generators works on an adaptive
-box. Starting from a bound of c * (largest generator coordinate) plus
-the lattice index plus the rank, it enumerates the box's semigroup
-points with numpy, keeps the members of the (upward-closed) target set,
-and discards every point whose difference by a minimal nonzero
-semigroup step is again a member; the survivors are exactly the minimal
-generators inside the box. If any survivor touches the box boundary, or
-no member was seen at all, the bound doubles and the pass repeats.
-Correctness of the step test rests on upward closure: a member below v
-forces a member at distance one step below v.
+The engine behind minimal generators is a column-minimum search over
+an adaptive box [0, bound]^n, starting from a bound of c * (largest
+generator coordinate) plus the lattice index plus the rank. Membership
+is upward-closed, so over each prefix x' = (x_1..x_{n-1}) only the
+lowest member of the column can be minimal. One pass builds the grid
+of prefixes in [0, bound]^(n-1), gives each prefix the lattice coset
+of its last coordinate, raises a per-prefix lower bound facet by facet
+(facets with a_n = 0 only filter prefixes), and takes Z[x'], the least
+coset value at or above that bound. The lowest member of a column is
+minimal unless some minimal nonzero semigroup step h has
+Z[x'] - h_n >= Z[x' - h'], one shifted-slice comparison per step;
+correctness rests on upward closure: a member below v forces a member
+at distance one step below v. If no member was seen, or a survivor
+touches the box boundary, the bound doubles and the pass repeats.
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
-no floating point is used anywhere. The numpy hot loops run in int32
-or int64 after a proof that every intermediate value fits.
+no floating point is used anywhere. The numpy arrays are int64, after
+a proof that every intermediate value fits; inputs past the grid cap or
+that proof raise ``OutOfScaleError``.
 """
 
 from __future__ import annotations
@@ -34,20 +39,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, cached_property
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .rationals import QMatrix, as_rational, matrix_rank, solve_linear
 from .surface import InvalidParametersError
 
-_SINGLE_CHUNK_CAP = 1_500_000
-_BOUND_CAP = 20_000_000
-_PRUNE_STEPS = 4
+# prefix cells per engine pass (64 MiB per int64 grid array)
+_CELL_CAP = 8_000_000
+# C(gens + rank, rank) * gens, the int64 entries of the rank-3 facet check
+_FACET_WORK_CAP = 200_000_000
+_WITNESS_SCAN_CAP = 2_000_000
 
 
 class RingMismatchError(ValueError):
     """Operands live over different toric rings."""
+
+
+class OutOfScaleError(RuntimeError):
+    """The input needs arrays or integers past the desk-scale caps."""
 
 
 class ToricRing:
@@ -172,21 +183,18 @@ class ToricRing:
         Any nonzero semigroup element dominates one of these, with the
         difference back in the semigroup; every irreducible coordinate
         is at most the lattice index, so the search box [0, index]^rank
-        is complete.
+        is complete. An irreducible is the lowest semigroup point of its
+        column, so the candidates are the lowest coset point over each
+        prefix in [0, index]^(rank-1), and (0,..,0,step) over the zero
+        prefix.
         """
-        pts = [
-            p
-            for chunk in _semigroup_box_chunks(self, self.index)
-            for p in map(tuple, chunk.tolist())
-            if any(p)
-        ]
+        m = self.rank - 1
+        z0, step = _lattice_coset(self, np.indices((self.index + 1,) * m, dtype=np.int64))
+        solvable = z0 >= 0
+        lowest = np.column_stack([np.argwhere(solvable), z0[solvable]])
+        pts = [p for p in map(tuple, lowest.tolist()) if any(p)]
+        pts.append((0,) * m + (step,))
         return tuple(_dominance_minimal(pts))
-
-    @cached_property
-    def _steps_array(self) -> np.ndarray:
-        return np.array(self.minimal_steps, dtype=np.int64).reshape(
-            len(self.minimal_steps), self.rank
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,83 +259,32 @@ def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
     return [tuple(map(int, r)) for r in buf[:count]]
 
 
-def _filtered_box_chunks(ring: ToricRing, bound: int) -> Iterator[np.ndarray]:
-    for cols in _grid_blocks(bound + 1, ring.rank):
-        mask = None
-        for w, r in ring.congruences:
-            acc = np.zeros_like(cols[0])
-            for wi, col in zip(w, cols):
-                if wi:
-                    acc = acc + wi * col
-            ok = (acc % r) == 0
-            mask = ok if mask is None else (mask & ok)
-        pts = np.stack(cols, axis=1)
-        chunk = pts if mask is None else pts[mask]
-        if len(chunk):
-            yield chunk
+def _lattice_coset(ring: ToricRing, grid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Last coordinates of the lattice over each prefix x' of ``grid``
+    (an ``np.indices`` array): the coset z0 + step*Z.
 
-
-def _grid_blocks(side: int, axes: int) -> Iterator[list[np.ndarray]]:
-    """Column blocks covering [0, side)^axes without oversized arrays."""
-    axis = np.arange(side, dtype=np.int64)
-    if side**axes <= _SINGLE_CHUNK_CAP:
-        grids = np.meshgrid(*([axis] * axes), indexing="ij")
-        yield [g.reshape(-1) for g in grids]
-    elif axes == 1:
-        for start in range(0, side, _SINGLE_CHUNK_CAP):
-            yield [np.arange(start, min(start + _SINGLE_CHUNK_CAP, side), dtype=np.int64)]
-    else:
-        tail = np.meshgrid(*([axis] * (axes - 1)), indexing="ij")
-        tail_flat = [t.reshape(-1) for t in tail]
-        m = tail_flat[0].shape[0]
-        for v in range(side):
-            yield [np.full(m, v, dtype=np.int64)] + tail_flat
-
-
-def _solved_last_axis_chunks(ring: ToricRing, bound: int) -> Iterator[np.ndarray]:
-    """Single-congruence fast path: enumerate the lattice directly by
-    solving the congruence for the last coordinate over a grid on the
-    others, instead of filtering the whole box."""
-    (w, r) = ring.congruences[0]
-    n = ring.rank
-    side = bound + 1
-    g = gcd(w[-1], r)
-    step = r // g
-    inv = pow(w[-1] // g, -1, step) if step > 1 else 0
-
-    for cols in _grid_blocks(side, n - 1):
-        rhs = np.zeros_like(cols[0])
-        for wi, col in zip(w[:-1], cols):
-            if wi:
-                rhs = rhs - wi * col
-        rhs = rhs % r
-        solvable = (rhs % g) == 0
-        z0 = ((rhs // g) * inv) % step if step > 1 else np.zeros_like(rhs)
-        for j in range(bound // step + 1):
-            z = z0 + j * step
-            mask = solvable & (z <= bound)
-            if not mask.any():
-                continue
-            chunk_cols = [c[mask] for c in cols] + [z[mask]]
-            yield np.stack(chunk_cols, axis=1)
-
-
-def _semigroup_box_chunks(ring: ToricRing, bound: int) -> Iterator[np.ndarray]:
-    """Yield the points of M intersect [0, bound]^rank as int64 arrays.
-
-    Small boxes come in one chunk; larger ones are sliced so no array
-    ever holds the full box. Rings cut out by one congruence whose last
-    weight leaves a reasonable progression step are enumerated by
-    modular solving rather than brute filtering.
+    step is the order of the last unit vector in the residue group; z0
+    lies in [0, step), or is -1 where no lattice point lies over x'. A
+    table maps each residue tuple of the congruences to the z0
+    cancelling it, so any number of congruences costs one lookup.
     """
-    if (
-        len(ring.congruences) == 1
-        and ring.rank >= 2
-        and ring.congruences[0][1] // gcd(ring.congruences[0][0][-1], ring.congruences[0][1]) >= 4
-    ):
-        yield from _solved_last_axis_chunks(ring, bound)
-    else:
-        yield from _filtered_box_chunks(ring, bound)
+    step = 1
+    for w, r in ring.congruences:
+        step = lcm(step, r // gcd(w[-1], r))
+    size = math.prod(r for _, r in ring.congruences)
+    if size > _CELL_CAP:
+        raise OutOfScaleError(f"residue table of {size} entries; out of desk scale")
+    z = np.arange(step, dtype=np.int64)
+    z_keys = np.zeros(step, dtype=np.int64)
+    prefix_keys = np.zeros(grid.shape[1:], dtype=np.int64)
+    radix = 1
+    for w, r in ring.congruences:
+        z_keys += (-w[-1] * z) % r * radix
+        prefix_keys += np.tensordot(np.array(w[:-1], dtype=np.int64), grid, 1) % r * radix
+        radix *= r
+    table = np.full(size, -1, dtype=np.int64)
+    table[z_keys] = z
+    return table[prefix_keys], step
 
 
 # -- Newton polyhedra -------------------------------------------------------
@@ -465,6 +422,8 @@ def _candidates_generic(rank: int, gens: list[tuple[int, ...]]):
 def _newton_facets(
     rank: int, gens: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    if math.comb(len(gens) + rank, rank) * len(gens) > _FACET_WORK_CAP:
+        raise OutOfScaleError(f"facets of {len(gens)} generators; out of desk scale")
     gens_list = list(gens)
     big = max((abs(x) for g in gens_list for x in g), default=0)
     if rank == 3 and big <= 10**6:
@@ -617,35 +576,7 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     return out
 
 
-# -- the box engine ----------------------------------------------------------
-
-
-def _prune_pass(
-    cand: np.ndarray,
-    vals: np.ndarray,
-    steps: np.ndarray,
-    step_shifts: np.ndarray,
-    thr: np.ndarray,
-    strict: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop candidates whose difference by a minimal semigroup step is
-    again a member.
-
-    ``vals`` carries q<a, v + shift> per facet; subtracting a step h
-    moves every facet value by the constant q<a, h>, so the shifted
-    membership test is a comparison with adjusted thresholds and needs
-    no new products.
-    """
-    for h, sh in zip(steps, step_shifts):
-        if not len(cand):
-            break
-        thr_h = thr + sh
-        inside = (vals > thr_h).all(axis=1) if strict else (vals >= thr_h).all(axis=1)
-        dead = inside & (cand >= h).all(axis=1)
-        if dead.any():
-            keep = ~dead
-            cand, vals = cand[keep], vals[keep]
-    return cand, vals
+# -- the column-minimum engine -----------------------------------------------
 
 
 @lru_cache(maxsize=512)
@@ -658,59 +589,50 @@ def _box_minimal_impl(
     shift: int,
     start_bound: int,
 ) -> tuple[tuple[int, ...], ...]:
-    steps = ring._steps_array
-
+    m = ring.rank - 1
+    row_mass = max((sum(map(abs, a)) for a in normals), default=0)
+    top = max((abs(t) for t in thresholds), default=0)
     bound = max(start_bound, 1)
-    while bound <= _BOUND_CAP:
-        # Work in int32 when every value provably fits; the member test
-        # is the hot loop and narrow arithmetic roughly halves it.
-        # adjusted thresholds reach thr + q<a, h> <= 2 * peak, so the
-        # dtype must hold twice the peak value
-        row_mass = max((sum(map(abs, a)) for a in normals), default=0)
-        peak = q * row_mass * (bound + 1 + shift) + max(
-            (abs(t) for t in thresholds), default=0
-        )
-        if peak >= 2**61:
-            raise RuntimeError("facet values exceed 64-bit range; out of desk scale")
-        dtype = np.int32 if peak < 2**30 else np.int64
-        a_mat = np.array(normals, dtype=dtype).reshape(len(normals), ring.rank).T
-        thr = np.array(thresholds, dtype=dtype)
-        step_shifts = q * (steps.astype(dtype) @ a_mat)
-
-        surv_pts: list[np.ndarray] = []
-        surv_vals: list[np.ndarray] = []
-        any_member = False
-        for pts in _semigroup_box_chunks(ring, bound):
-            pts = pts.astype(dtype, copy=False)
-            vals = q * ((pts + shift) @ a_mat)
-            mem = (vals > thr).all(axis=1) if strict else (vals >= thr).all(axis=1)
-            if not mem.any():
-                continue
-            any_member = True
-            cand, vals = pts[mem], vals[mem]
-            cand, vals = _prune_pass(
-                cand, vals, steps[:_PRUNE_STEPS], step_shifts[:_PRUNE_STEPS], thr, strict
+    while True:
+        side = bound + 1
+        if side**m > _CELL_CAP:
+            raise OutOfScaleError(
+                f"prefix grid of {side}^{m} cells passes the cap; out of desk scale"
             )
-            if len(cand):
-                surv_pts.append(cand)
-                surv_vals.append(vals)
+        if q * row_mass * (side + shift) + top >= 2**61:
+            raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
+        grid = np.indices((side,) * m, dtype=np.int64)
+        z0, step = _lattice_coset(ring, grid)
+        ok = z0 >= 0
+        low = np.zeros(z0.shape, dtype=np.int64)
+        for a, t in zip(normals, thresholds):
+            prefix = np.tensordot(np.array(a[:-1], dtype=np.int64), grid, 1)
+            val = q * (prefix + shift * sum(a[:-1]))
+            if a[-1]:
+                # least z with q<a, (x', z + shift)> > t (or >= t)
+                d = q * a[-1]
+                need = (t - val) // d + 1 if strict else -((val - t) // d)
+                np.maximum(low, need - shift, out=low)
+            else:
+                ok &= val > t if strict else val >= t
+        # Z[x']: the least coset value at or above the bound; side marks
+        # a column with no member in the box
+        col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)
 
-        if not any_member:
-            bound *= 2
-            continue
-        if surv_pts:
-            cand = np.vstack(surv_pts)
-            vals = np.vstack(surv_vals)
-            cand, vals = _prune_pass(cand, vals, steps, step_shifts, thr, strict)
-        else:
-            cand = np.empty((0, ring.rank), dtype=dtype)
+        minimal = col <= bound
+        for h in ring.minimal_steps:
+            hp = h[:-1]
+            if not any(hp) or max(hp) > bound:
+                continue
+            above = tuple(slice(x, None) for x in hp)
+            below = tuple(slice(0, side - x) for x in hp)
+            minimal[above] &= col[above] - h[-1] < col[below]
+        cand = np.column_stack([np.argwhere(minimal), col[minimal]])
 
         if not len(cand) or bool((cand == bound).any()):
             bound *= 2
             continue
-        gens = sorted((tuple(map(int, row)) for row in cand), key=lambda g: (sum(g), g))
-        return tuple(gens)
-    raise RuntimeError("box bound grew past the safety cap; input out of desk scale")
+        return tuple(sorted(map(tuple, cand.tolist()), key=lambda g: (sum(g), g)))
 
 
 def _box_minimal_generators(
@@ -804,7 +726,10 @@ class MonomialCertificate:
 
     On failure, the witness is re-verified on both sides: it is a
     member of the product-side multiplier ideal and not a member of the
-    product of the two multiplier ideals.
+    product of the two multiplier ideals. ``exhaustive_recheck`` says
+    whether every lattice decomposition of the witness was also tested;
+    that scan is skipped when the witness box holds more than
+    ``_WITNESS_SCAN_CAP`` lattice points.
     """
 
     ring: ToricRing
@@ -818,6 +743,7 @@ class MonomialCertificate:
     verdict: bool
     witness: tuple[int, ...] | None
     failures: tuple[tuple[int, ...], ...] = ()
+    exhaustive_recheck: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -886,14 +812,13 @@ def _certify(
         g for g in j_product.generators if not _in_product(g, ga, gb)
     ]
     witness = failures[0] if failures else None
+    exhaustive_recheck = False
     if witness is not None:
         prod = ideal_product(j_a, j_b)
         if prod.membership(witness) or not j_product.membership(witness):
             raise AssertionError("witness failed re-verification; internal bug")
-        box_size = 1
-        for x in witness:
-            box_size *= x + 1
-        if box_size <= 2_000_000 and not _witness_has_no_decomposition(
+        exhaustive_recheck = math.prod(x + 1 for x in witness) <= _WITNESS_SCAN_CAP
+        if exhaustive_recheck and not _witness_has_no_decomposition(
             a, b, ca, cb, witness
         ):
             raise AssertionError(
@@ -912,6 +837,7 @@ def _certify(
         verdict=witness is None,
         witness=witness,
         failures=tuple(failures),
+        exhaustive_recheck=exhaustive_recheck,
     )
 
 

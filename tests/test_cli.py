@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,49 @@ def test_strongmono(capsys):
     )
     assert code == 1
     assert report["results"]["witness"] == [10, 3, 7]
+
+
+def test_out_of_scale_input_exits_3(tmp_path, capsys):
+    # a^8 b^15 has 499 generators: facet enumeration would need about
+    # 10^10 normal-generator products, so the pre-flight guard refuses it
+    files = {
+        "ring": {"rank": 3, "congruences": [{"weights": [1, 1, 1], "modulus": 3}]},
+        "a": {"generators": [[3, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 6]]},
+        "b": {"generators": [[2, 1, 0], [0, 2, 4], [1, 0, 2]]},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, report = run(
+        capsys,
+        "strongmono",
+        "--ring", str(tmp_path / "ring.json"),
+        "--ideal-a", str(tmp_path / "a.json"),
+        "--ideal-b", str(tmp_path / "b.json"),
+        "-c", "2/5",
+        "-d", "3/4",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"].startswith("OutOfScaleError")
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def exhausted(ideal, c):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("subadd.toric.multiplier_monomials", exhausted)
+    code, report = run(
+        capsys,
+        "multiplier",
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal", str(DATA / "q41_ideal.json"),
+        "-c", "1/2",
+    )
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"] == "MemoryError: cannot allocate"
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from subadd import toric as tc
@@ -42,6 +45,19 @@ class TestToricRing:
                 if s != t:
                     assert not all(a <= b for a, b in zip(s, t))
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            tc.ToricRing(3, [((1, 2, 0), 3), ((0, 1, 1), 2), ((1, 0, 3), 4)]),
+            tc.cyclic_quotient_ring(5, (1, 2, 3, 4)),
+        ],
+        ids=["three-congruences", "rank-4"],
+    )
+    def test_minimal_steps_match_brute_scan(self, ring):
+        box = itertools.product(range(ring.index + 1), repeat=ring.rank)
+        brute = dominance_minimal(v for v in box if any(v) and ring.semigroup_contains(v))
+        assert set(ring.minimal_steps) == brute
+
     def test_coordinate_steps(self, q41_ring):
         assert q41_ring.coordinate_steps == (1, 1, 1)
         assert tc.cyclic_quotient_ring(4, (1, 2, 2)).coordinate_steps == (2, 1, 1)
@@ -52,6 +68,29 @@ class TestToricRing:
     def test_gorenstein_predicate(self):
         assert tc.is_gorenstein_cyclic(10, (7, 7, 6))
         assert not tc.is_gorenstein_cyclic(41, (35, 28, 20))
+
+
+class TestLatticeCoset:
+    def test_matches_brute_force(self):
+        rng = random.Random(608)
+        for rank, count in itertools.product(range(1, 5), range(4)):
+            for _ in range(2):
+                congs = []
+                for _ in range(count):
+                    r = rng.randint(2, 6)
+                    congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
+                ring = tc.ToricRing(rank, congs)
+                m, side = rank - 1, 5
+                z0, step = tc._lattice_coset(ring, np.indices((side,) * m, dtype=np.int64))
+                period = math.lcm(*(r for _, r in congs)) if congs else 1
+                assert step == next(
+                    z for z in range(1, period + 1) if ring.contains((0,) * m + (z,))
+                )
+                for prefix in itertools.product(range(side), repeat=m):
+                    lowest = next(
+                        (z for z in range(period) if ring.contains(prefix + (z,))), -1
+                    )
+                    assert z0[prefix] == lowest, (ring, prefix)
 
 
 class TestMonomialIdeal:
@@ -285,6 +324,35 @@ class TestMultiplier:
             checked += 1
         assert checked >= 15
 
+    @pytest.mark.parametrize(
+        "ring, gens, c",
+        [
+            (tc.ToricRing(1), [(3,)], Fraction(1, 2)),
+            (tc.ToricRing(1), [(4,)], Fraction(1)),
+            (tc.ToricRing(1, [((0,), 3)]), [(7,)], Fraction(5, 2)),
+            (tc.cyclic_quotient_ring(2, (1, 1, 1, 1)), [(2, 0, 2, 0), (0, 2, 1, 1)], Fraction(3, 2)),
+            (
+                tc.ToricRing(4, [((1, 1, 0, 0), 2), ((0, 1, 1, 0), 2)]),
+                [(2, 0, 0, 2), (0, 2, 2, 2)],
+                Fraction(1),
+            ),
+        ],
+        ids=["rank-1-a", "rank-1-b", "rank-1-congruence", "rank-4-quotient", "rank-4-two-congruences"],
+    )
+    def test_engine_matches_fm_at_ranks_1_and_4(self, ring, gens, c):
+        ideal = tc.MonomialIdeal(ring, gens)
+        mine = set(tc.multiplier_monomials(ideal, c).generators)
+        bound = 2 * ideal.max_coordinate + ring.index + ring.rank + 2
+        brute = brute_multiplier_members(ring, ideal.generators, c, bound)
+        assert mine == dominance_minimal(brute)
+        assert mine != {(0,) * ring.rank}
+
+    def test_cell_cap_raises_out_of_scale(self, monkeypatch):
+        monkeypatch.setattr(tc, "_CELL_CAP", 100)
+        ideal = tc.MonomialIdeal(tc.ToricRing(3), [(43, 0, 0), (0, 43, 0), (0, 0, 43)])
+        with pytest.raises(tc.OutOfScaleError):
+            tc.multiplier_monomials(ideal, 1)
+
     def test_upward_closed_randomized(self, q41_ring, q41_ideal):
         j1 = tc.multiplier_monomials(q41_ideal, 1)
         poly = q41_ideal.newton_polyhedron()
@@ -370,6 +438,18 @@ class TestSubadditivityChecks:
         cert = tc.subadditivity_check_monomial(a, b)
         assert not cert.verdict
         assert cert.witness == (3, 1, 0)
+
+    def test_exhaustive_recheck_is_recorded(self, q41_ring, monkeypatch):
+        ring = tc.cyclic_quotient_ring(2, (1, 1, 0))
+        a = tc.MonomialIdeal(ring, [(2, 0, 2), (2, 2, 0)])
+        b = tc.MonomialIdeal(ring, [(2, 0, 0), (1, 1, 1)])
+        assert tc.subadditivity_check_monomial(a, b).exhaustive_recheck
+        unit = tc.MonomialIdeal.unit(q41_ring)
+        passing = tc.subadditivity_check_monomial(unit, unit)
+        assert passing.verdict and not passing.exhaustive_recheck
+        monkeypatch.setattr(tc, "_WITNESS_SCAN_CAP", 1)
+        skipped = tc.subadditivity_check_monomial(a, b)
+        assert skipped.witness == (3, 1, 0) and not skipped.exhaustive_recheck
 
     def test_strong_reduces_to_plain(self, q41_ideal):
         plain = tc.subadditivity_check_monomial(q41_ideal, q41_ideal)
