@@ -5,7 +5,8 @@ Input files are UTF-8 JSON in the schemas of the surface and toric
 modules; every run emits a JSON report (stdout or --out) and exits 0
 on a pass, 1 when a violation was found, 2 on an input error, 3 when
 the input is beyond desk scale (a typed out-of-scale error or an
-exhausted memory allocation).
+exhausted memory allocation), 4 on an internal error (a failed
+internal consistency check or a classification violation).
 """
 
 from __future__ import annotations
@@ -294,6 +295,8 @@ def main(argv=None) -> int:
         return _fail(args, t0, f"{type(exc).__name__}: {exc}", 2)
     except (tc.OutOfScaleError, MemoryError) as exc:
         return _fail(args, t0, f"{type(exc).__name__}: {exc}", 3)
+    except (AssertionError, px.ClassificationViolationError) as exc:
+        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 4)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes library results by a different route: box
-enumeration for anti-nef closures and fundamental cycles, and exact
+enumeration for anti-nef closures and fundamental cycles, pure-Python
+cofactor expansion for Newton-polyhedron facets, and exact
 Fourier-Motzkin feasibility for Newton-polyhedron membership, for
 membership in a Minkowski sum of two of them, and for product
 membership of subadditivity witnesses. Nothing imports the algorithms
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from subadd.surface import Cycle
 
@@ -60,6 +62,70 @@ def brute_fundamental_cycle(model, hi: int = 5) -> Cycle:
                 return Cycle(dict(zip(exc, best)))
         hi += 3
     raise AssertionError("oracle box exhausted")
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    det = 0
+    for j in range(n):
+        if rows[0][j]:
+            minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
+            det += (-1) ** j * rows[0][j] * _int_det(minor)
+    return det
+
+
+def generic_newton_facets(rank: int, gens) -> set[tuple[tuple[int, ...], int]]:
+    """Facets of conv(gens) + orthant, one rank-sized subset at a time
+    in Python integers.
+
+    Each subset of generators and coordinate rays holding a generator
+    spans a hyperplane through its first generator when the signed
+    minors of its direction rows are not all zero; the hyperplane is a
+    facet when its normal is sign-definite and every generator lies on
+    one side. The rows are independent, so the tight points span the
+    hyperplane and no rank check is needed. Normals come back primitive
+    and componentwise nonnegative.
+    """
+    gens = [tuple(g) for g in gens]
+    rays = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    tagged = [(g, False) for g in gens] + [(r, True) for r in rays]
+    out = set()
+    for subset in itertools.combinations(tagged, rank):
+        pivot_pos = next(
+            (i for i, (_, is_ray) in enumerate(subset) if not is_ray), None
+        )
+        if pivot_pos is None:
+            continue
+        p0 = subset[pivot_pos][0]
+        dirs = []
+        for i, (p, is_ray) in enumerate(subset):
+            if i == pivot_pos:
+                continue
+            dirs.append(list(p) if is_ray else [x - y for x, y in zip(p, p0)])
+        normal = [
+            (-1) ** i
+            * _int_det([[row[k] for k in range(rank) if k != i] for row in dirs])
+            for i in range(rank)
+        ]
+        if not any(normal):
+            continue
+        if all(a <= 0 for a in normal):
+            normal = [-a for a in normal]
+        if not all(a >= 0 for a in normal):
+            continue
+        b = sum(a * x for a, x in zip(normal, p0))
+        if all(sum(a * x for a, x in zip(normal, g)) >= b for g in gens):
+            g = 0
+            for a in normal:
+                g = gcd(g, a)
+            out.add((tuple(a // g for a in normal), b // g))
+    return out
 
 
 def _fourier_motzkin_feasible(constraints: list[tuple[list[Fraction], Fraction, bool]]) -> bool:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from subadd import proximity as px
 from subadd.cli import main
 from subadd.reproduce import UnknownExampleError, case_ids, run_case
 
@@ -124,16 +125,42 @@ def test_strongmono(capsys):
     assert report["results"]["witness"] == [10, 3, 7]
 
 
-def test_out_of_scale_input_exits_3(tmp_path, capsys):
-    # a^8 b^15 has 499 generators: facet enumeration would need about
-    # 10^10 normal-generator products, so the pre-flight guard refuses it
-    files = {
-        "ring": {"rank": 3, "congruences": [{"weights": [1, 1, 1], "modulus": 3}]},
-        "a": {"generators": [[3, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 6]]},
-        "b": {"generators": [[2, 1, 0], [0, 2, 4], [1, 0, 2]]},
-    }
+def _write_inputs(tmp_path, files: dict) -> None:
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+
+
+def test_out_of_scale_input_exits_3(tmp_path, capsys):
+    # 231 generators on the plane x + y + z = 20 form an antichain:
+    # facet enumeration would need C(234, 3) * 231, about 4.9 * 10^8
+    # normal-generator products, so the pre-flight guard refuses it
+    plane = [[i, j, 20 - i - j] for i in range(21) for j in range(21 - i)]
+    _write_inputs(tmp_path, {"ring": {"rank": 3}, "ideal": {"generators": plane}})
+    start = time.perf_counter()
+    code, report = run(
+        capsys,
+        "multiplier",
+        "--ring", str(tmp_path / "ring.json"),
+        "--ideal", str(tmp_path / "ideal.json"),
+        "-c", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert report["status"] == "error"
+    assert report["error"].startswith("OutOfScaleError")
+
+
+def test_strongmono_499_generator_case_completes(tmp_path, capsys):
+    # the expanded a^8 b^15 has 499 generators; its Newton polyhedron
+    # comes from the 12 vertex sums 8u + 15w instead
+    _write_inputs(
+        tmp_path,
+        {
+            "ring": {"rank": 3, "congruences": [{"weights": [1, 1, 1], "modulus": 3}]},
+            "a": {"generators": [[3, 0, 0], [0, 3, 0], [1, 1, 1], [0, 0, 6]]},
+            "b": {"generators": [[2, 1, 0], [0, 2, 4], [1, 0, 2]]},
+        },
+    )
     start = time.perf_counter()
     code, report = run(
         capsys,
@@ -145,9 +172,9 @@ def test_out_of_scale_input_exits_3(tmp_path, capsys):
         "-d", "3/4",
     )
     assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert report["status"] == "error"
-    assert report["error"].startswith("OutOfScaleError")
+    assert code == 0
+    assert report["status"] == "pass"
+    assert report["results"]["verdict"] is True
 
 
 def test_memory_error_exits_3(capsys, monkeypatch):
@@ -165,6 +192,39 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert report["status"] == "error"
     assert report["error"] == "MemoryError: cannot allocate"
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("witness failed re-verification; internal bug")
+
+    monkeypatch.setattr("subadd.toric._certify", broken)
+    code, report = run(
+        capsys,
+        "checkmono",
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal-a", str(DATA / "q41_ideal.json"),
+        "--ideal-b", str(DATA / "q41_ideal.json"),
+    )
+    assert code == 4
+    assert report["status"] == "error"
+    assert report["error"] == "AssertionError: witness failed re-verification; internal bug"
+
+
+def test_classification_violation_exits_4(capsys, monkeypatch):
+    def violated(*args):
+        raise px.ClassificationViolationError("not in the catalog")
+
+    monkeypatch.setattr("subadd.proximity.subadditivity_check_2d", violated)
+    code, report = run(
+        capsys,
+        "check2d",
+        "--model", str(DATA / "a1_model.json"),
+        "--ideal-a", str(DATA / "fa.json"),
+        "--ideal-b", str(DATA / "fa.json"),
+    )
+    assert code == 4
+    assert report["error"] == "ClassificationViolationError: not in the catalog"
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from _oracles import (
     brute_multiplier_members,
     dominance_minimal,
     fm_product_split,
+    generic_newton_facets,
     in_minkowski_interior_fm,
     in_polyhedron_fm,
 )
@@ -61,6 +62,25 @@ class TestToricRing:
     def test_coordinate_steps(self, q41_ring):
         assert q41_ring.coordinate_steps == (1, 1, 1)
         assert tc.cyclic_quotient_ring(4, (1, 2, 2)).coordinate_steps == (2, 1, 1)
+
+    def test_index_and_coordinate_steps_match_brute_scan(self):
+        # M contains L * Z^rank for L the lcm of the moduli, so the box
+        # [0, L)^rank holds L^rank / index lattice points, and every
+        # coordinate step is at most L
+        rng = random.Random(609)
+        for rank, count in itertools.product(range(1, 5), range(4)):
+            for _ in range(2):
+                congs = []
+                for _ in range(count):
+                    r = rng.randint(2, 4)
+                    congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
+                ring = tc.ToricRing(rank, congs)
+                period = math.lcm(*(r for _, r in congs)) if congs else 1
+                box = list(itertools.product(range(period + 1), repeat=rank))
+                inside = [v for v in box if ring.contains(v)]
+                assert ring.index * sum(max(v) < period for v in inside) == period**rank
+                steps = tuple(min(v[i] for v in inside if v[i]) for i in range(rank))
+                assert ring.coordinate_steps == steps, ring
 
     def test_json_roundtrip(self, q41_ring):
         assert tc.ToricRing.from_json_dict(q41_ring.to_json_dict()) == q41_ring
@@ -182,20 +202,26 @@ class TestNewtonPolyhedron:
                 )
 
     def test_rank3_and_generic_paths_agree(self):
+        # the vectorised enumerator against the pure-Python reference
         rng = random.Random(602)
-        for _ in range(10):
-            gens = tuple(
-                sorted(
-                    {
-                        tuple(rng.randint(0, 7) for _ in range(3))
-                        for _ in range(rng.randint(2, 5))
-                    }
+        for rank in (1, 2, 3, 4):
+            for _ in range(12):
+                gens = tuple(
+                    sorted(
+                        {
+                            tuple(rng.randint(0, 7) for _ in range(rank))
+                            for _ in range(rng.randint(1, 6))
+                        }
+                    )
                 )
-            )
-            fast = tc._newton_facets(3, gens)
-            slow = tc._candidates_generic(3, list(gens))
-            slow_set = {tc._primitive(a, b) for a, b in slow}
-            assert set(fast) <= slow_set
+                assert set(tc._newton_facets(rank, gens)) == generic_newton_facets(rank, gens)
+
+    def test_int64_guard_raises_out_of_scale(self):
+        # 3! * big^3 passes 2^62 once big reaches about 9.2 * 10^5
+        gens = ((2 * 10**6, 0, 0), (0, 1, 0), (0, 0, 1))
+        with pytest.raises(tc.OutOfScaleError):
+            tc._newton_facets(3, gens)
+        assert tc._newton_facets(3, ((9 * 10**5, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 class TestMinkowskiOracle:
@@ -450,6 +476,56 @@ class TestSubadditivityChecks:
         monkeypatch.setattr(tc, "_WITNESS_SCAN_CAP", 1)
         skipped = tc.subadditivity_check_monomial(a, b)
         assert skipped.witness == (3, 1, 0) and not skipped.exhaustive_recheck
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_vertex_sums_match_expanded_product(self, rank):
+        # the route the checks replaced: expand a^p b^q and take
+        # J((a^p b^q)^(1/m)) over all its generators
+        rng = random.Random(610 + rank)
+        quotients = {
+            2: [(2, (1, 1)), (5, (2, 3))],
+            3: [(2, (1, 1, 0)), (3, (1, 1, 1)), (5, (1, 2, 2))],
+        }
+        rings = [tc.ToricRing(rank)]
+        rings += [tc.cyclic_quotient_ring(r, w) for r, w in quotients[rank]]
+        exponents = [
+            (1, 1),
+            (Fraction(1, 2), Fraction(1, 3)),
+            (Fraction(2, 3), 1),
+            (Fraction(3, 2), Fraction(1, 2)),
+        ]
+        verdicts = set()
+        for ring in rings:
+            def sample():
+                while True:
+                    v = tuple(rng.randint(0, 6) for _ in range(rank))
+                    if any(v) and ring.contains(v):
+                        return v
+
+            for c, d in exponents:
+                a = tc.MonomialIdeal(ring, {sample() for _ in range(rng.randint(2, 3))})
+                b = tc.MonomialIdeal(ring, {sample() for _ in range(rng.randint(2, 3))})
+                m = math.lcm(Fraction(c).denominator, Fraction(d).denominator)
+                p, q = int(c * m), int(d * m)
+                full = tc.ideal_product(tc.ideal_power(a, p), tc.ideal_power(b, q))
+                sums = tc._vertex_sum_ideal(a, b, p, q)
+                assert tc._newton_facets(rank, sums.generators) == tc._newton_facets(
+                    rank, full.generators
+                )
+                j_a = tc.multiplier_monomials(a, c)
+                j_b = tc.multiplier_monomials(b, d)
+                j_full = tc.multiplier_monomials(full, Fraction(1, m))
+                expected = tc._certify(a, b, Fraction(c), Fraction(d), j_full, j_a, j_b)
+                checks = [tc.strong_subadd_check_monomial(a, b, c, d)]
+                if (c, d) == (1, 1):
+                    checks.append(tc.subadditivity_check_monomial(a, b))
+                for cert in checks:
+                    assert cert.j_product == j_full
+                    assert (cert.j_a, cert.j_b) == (j_a, j_b)
+                    assert (cert.verdict, cert.witness) == (expected.verdict, expected.witness)
+                    verdicts.add(cert.verdict)
+        # the seeded inputs hold a violation as well as passes
+        assert verdicts == {True, False}
 
     def test_strong_reduces_to_plain(self, q41_ideal):
         plain = tc.subadditivity_check_monomial(q41_ideal, q41_ideal)
