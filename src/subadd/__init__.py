@@ -4,84 +4,40 @@ Two computable settings are covered: anti-nef cycles on two-dimensional
 resolution graphs (where integrally closed ideals are represented by
 the cycles themselves) and monomial ideals on simplicial toric rings
 cut out by congruence lattices. All arithmetic is exact.
+
+The package root exports the names of the README quick tour and the
+error types the command line maps to exit statuses; everything else
+lives in the modules ``surface``, ``proximity``, ``toric``,
+``rationals``, ``reproduce`` and ``cli``.
 """
 
-from .rationals import (
-    QMatrix,
-    Rational,
-    SingularMatrixError,
-    NonSymmetricError,
-    as_rational,
-    determinant,
-    is_negative_definite,
-    rational_to_string,
-    solve_linear,
-)
 from .surface import (
-    EXCEPTIONAL,
-    MARKED,
-    BaseCurve,
-    Blowup,
     Cycle,
-    InvalidCenterError,
     InvalidParametersError,
     ModelError,
     NegativeMarkedError,
     NonIntegralError,
     NotAntiNefError,
-    NotNegativeDefiniteError,
-    ResolutionModel,
     StageOutOfRangeError,
     ade,
     build_model,
     hj_chain,
-    hj_weights,
-    load_cycle,
-    load_model,
 )
 from .proximity import (
     ClassificationViolationError,
-    ComputationTrace,
-    DCoordinates,
     NoLambdaError,
     NoQualifyingCycleError,
     NotGorensteinError,
-    PairedSequences,
-    ProximityData,
-    SubadditivityCertificate,
-    anti_nef_test_d,
     computation_sequence,
-    d_coordinates,
-    from_d_coordinates,
-    gorenstein_closure_formula,
-    lambda_set,
-    naive_ceil_closure_formula,
-    paired_sequences,
-    proximity_data,
-    strong_subadd_counterexample_irreducible,
-    strong_subadd_counterexample_reducible,
     subadditivity_check_2d,
 )
 from .toric import (
-    ExplorationReport,
-    ExploreConfig,
-    MonomialCertificate,
     MonomialIdeal,
-    NewtonPolyhedron,
+    OutOfScaleError,
     RingMismatchError,
     ToricRing,
-    barycentric_solve,
     cyclic_quotient_ring,
-    explore_question33,
-    ideal_membership,
-    ideal_power,
-    ideal_product,
-    in_interior,
-    integral_closure_monomial,
-    is_gorenstein_cyclic,
     multiplier_monomials,
-    newton_polyhedron,
-    strong_subadd_check_monomial,
     subadditivity_check_monomial,
 )
 

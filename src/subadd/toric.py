@@ -12,7 +12,7 @@ Facets come from one vectorised int64 enumeration for every rank: each
 rank-sized set of generators and coordinate rays gives a normal as the
 signed maximal minors of its direction rows, reduced by its gcd and
 deduplicated in the array, then kept when no generator lies below it;
-integer ranks (fraction-free elimination) confirm facets and vertices.
+vertices are read off the generator-by-facet incidence matrix.
 A multiplier ideal depends only on the Newton polyhedron, and
 Newt(a^p b^q) = p Newt(a) + q Newt(b), so the subadditivity checks
 build their product-side ideal from the vertex sums p u + q w, never
@@ -32,6 +32,8 @@ Z[x'] - h_n >= Z[x' - h'], one shifted-slice comparison per step;
 correctness rests on upward closure: a member below v forces a member
 at distance one step below v. If no member was seen, or a survivor
 touches the box boundary, the bound doubles and the pass repeats.
+Certificates reuse the prefix grid: a generator of J(ab) lies outside
+J(a) J(b) when it is below the staircase of the pairwise sums.
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
@@ -311,25 +313,6 @@ def in_interior(poly: NewtonPolyhedron, v: Sequence, c=1) -> bool:
     return poly.contains(v, c, strict=True)
 
 
-def _int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of integer vectors by fraction-free (Bareiss) elimination:
-    every entry stays an integer minor, so each division is exact."""
-    rows = [list(v) for v in vectors]
-    rank, prev = 0, 1
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], rows[rank])]
-        prev = p
-        rank += 1
-    return rank
-
-
 def _batch_det(m: np.ndarray) -> np.ndarray:
     """Determinants of a stack of k x k integer matrices, by cofactor
     expansion along the first row; exact while the caller's bound on
@@ -362,8 +345,9 @@ def _newton_facets(
     rays as they are), and the normal is the vector of signed maximal
     minors of those rows. Normals are oriented, kept when componentwise
     nonnegative, divided by their gcd and deduplicated in the array; a
-    candidate is a facet when no generator lies below it. Work goes in
-    blocks of combinations, so memory stays bounded.
+    candidate is a facet when no generator lies below it, as its own
+    independent rows span the hyperplane. Work goes in blocks of
+    combinations, so memory stays bounded.
     """
     count = len(gens)
     if math.comb(count + rank, rank) * count > _FACET_WORK_CAP:
@@ -403,35 +387,28 @@ def _newton_facets(
         found.append(np.column_stack([normals[ok], offsets[ok]]))
 
     cand = np.unique(np.concatenate(found), axis=0)
-    facets = []
-    for row, tight in zip(cand, cand[:, :-1] @ gens_arr.T == cand[:, -1:]):
-        # the candidate's own rows already span the hyperplane; this
-        # re-derives that from every tight generator and ray
-        on = gens_arr[tight]
-        vectors = np.vstack([on[1:] - on[0], pts[count:][row[:-1] == 0]])
-        if _int_rank(vectors.tolist()) == rank - 1:
-            facets.append((tuple(row[:-1].tolist()), int(row[-1])))
-    return tuple(facets)
+    return tuple((tuple(row[:-1]), row[-1]) for row in cand.tolist())
 
 
 def newton_polyhedron(ideal: "MonomialIdeal") -> NewtonPolyhedron:
     """Facets and vertices of the ideal's Newton polyhedron.
 
-    Facets come from ``_newton_facets``, one vectorised int64
-    enumeration over rank-sized sets of generators and coordinate rays.
-    A generator is a vertex when the normals of its tight facets have
-    full integer rank.
+    Facets come from ``_newton_facets``. A generator is a vertex when no
+    other generator is tight on every facet it is tight on: those facets
+    cut out the least face holding it, and a face of positive dimension
+    is pointed (Newt lies in the orthant), so it has a vertex, which is
+    another generator.
     """
     rank = ideal.ring.rank
     facets = _newton_facets(rank, ideal.generators)
-    vertices = []
-    for g in ideal.generators:
-        tight_normals = [
-            a for a, b in facets if sum(x * y for x, y in zip(a, g)) == b
-        ]
-        if len(tight_normals) >= rank and _int_rank(tight_normals) == rank:
-            vertices.append(g)
-    return NewtonPolyhedron(rank=rank, facets=facets, vertices=tuple(vertices))
+    gens = np.array(ideal.generators, dtype=np.int64)
+    rows = np.array([(*a, b) for a, b in facets], dtype=np.int64)
+    tight = (gens @ rows[:, :-1].T == rows[:, -1]).astype(np.int64)
+    shared = tight @ tight.T
+    covers = shared == shared.diagonal()[:, None]
+    np.fill_diagonal(covers, False)
+    vertices = tuple(g for g, c in zip(ideal.generators, covers.any(axis=1)) if not c)
+    return NewtonPolyhedron(rank=rank, facets=facets, vertices=vertices)
 
 
 # -- monomial ideals ---------------------------------------------------------
@@ -669,29 +646,16 @@ def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
     return out
 
 
-def _in_product(
-    v: tuple[int, ...], gens_a: np.ndarray, gens_b: np.ndarray
-) -> bool:
-    """Is v = u + w + s with u, w generators and s in the semigroup?
-    All points lie in M, so the test is pure dominance."""
-    vv = np.array(v, dtype=np.int64)
-    ua = gens_a[(gens_a <= vv).all(axis=1)]
-    if not len(ua):
-        return False
-    diff = vv - ua
-    return bool((gens_b[None, :, :] <= diff[:, None, :]).all(axis=2).any())
-
-
 @dataclass
 class MonomialCertificate:
     """Outcome of a monomial subadditivity check.
 
-    On failure, the witness is re-verified on both sides: it is a
-    member of the product-side multiplier ideal and not a member of the
-    product of the two multiplier ideals. ``exhaustive_recheck`` says
-    whether every lattice decomposition of the witness was also tested;
-    that scan is skipped when the witness box holds more than
-    ``_WITNESS_SCAN_CAP`` lattice points.
+    On failure, the witness is re-verified on both sides: it passes the
+    product-side interior test on the Newton polyhedron, and it lies
+    above no pairwise sum of generators of J(a) and J(b).
+    ``exhaustive_recheck`` says whether every lattice decomposition of
+    the witness was also tested; that scan is skipped when the witness
+    box holds more than ``_WITNESS_SCAN_CAP`` lattice points.
     """
 
     ring: ToricRing
@@ -760,24 +724,39 @@ def _witness_has_no_decomposition(
 
 
 def _certify(
-    a: MonomialIdeal,
-    b: MonomialIdeal,
-    ca: Fraction,
-    cb: Fraction,
-    j_product: MonomialIdeal,
-    j_a: MonomialIdeal,
-    j_b: MonomialIdeal,
+    a: MonomialIdeal, b: MonomialIdeal, ca: Fraction, cb: Fraction,
+    mixed: MonomialIdeal, c_mixed: Fraction,
+    j_product: MonomialIdeal, j_a: MonomialIdeal, j_b: MonomialIdeal,
 ) -> MonomialCertificate:
+    """Test each generator g of ``j_product`` = J(mixed^c_mixed) against
+    J(a^ca) J(b^cb), generated by the pairwise sums s (all in M). The
+    staircase P[x'] = min of s_n over s' <= x' comes from scattering the
+    sums into the prefix grid of ``j_product`` and a running minimum
+    along each axis; g fails exactly when g_n < P[g']."""
     ga = np.array(j_a.generators, dtype=np.int64)
     gb = np.array(j_b.generators, dtype=np.int64)
-    failures = [
-        g for g in j_product.generators if not _in_product(g, ga, gb)
-    ]
+    if len(ga) * len(gb) > _CELL_CAP:
+        raise OutOfScaleError(
+            f"{len(ga)} x {len(gb)} generator sums pass the cap; out of desk scale"
+        )
+    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, a.ring.rank)
+    gens = np.array(j_product.generators, dtype=np.int64)
+    side = gens[:, :-1].max(axis=0, initial=0) + 1
+    # a leading axis of length one keeps rank 1 (no prefix) array-shaped
+    low = np.full((1, *side.tolist()), np.iinfo(np.int64).max, dtype=np.int64)
+    inside = sums[(sums[:, :-1] < side).all(axis=1)]
+    np.minimum.at(low, (np.zeros(len(inside), dtype=np.int64), *inside[:, :-1].T), inside[:, -1])
+    for axis in range(1, low.ndim):
+        np.minimum.accumulate(low, axis=axis, out=low)
+    lowest = low[(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
+    failures = [g for g, f in zip(j_product.generators, gens[:, -1] < lowest) if f]
     witness = failures[0] if failures else None
     exhaustive_recheck = False
     if witness is not None:
-        prod = ideal_product(j_a, j_b)
-        if prod.membership(witness) or not j_product.membership(witness):
+        w = np.array([witness], dtype=np.int64)
+        if (sums <= w).all(axis=1).any() or not _members_mask_box(
+            a.ring, w, mixed.newton_polyhedron(), c_mixed
+        )[0]:
             raise AssertionError("witness failed re-verification; internal bug")
         exhaustive_recheck = math.prod(x + 1 for x in witness) <= _WITNESS_SCAN_CAP
         if exhaustive_recheck and not _witness_has_no_decomposition(
@@ -827,10 +806,10 @@ def subadditivity_check_monomial(
     vertex sums of Newt(a) + Newt(b)."""
     if a.ring != b.ring:
         raise RingMismatchError("subadditivity check needs one ring")
-    j_ab = multiplier_monomials(_vertex_sum_ideal(a, b, 1, 1), Fraction(1))
-    j_a = multiplier_monomials(a, Fraction(1))
-    j_b = multiplier_monomials(b, Fraction(1))
-    return _certify(a, b, Fraction(1), Fraction(1), j_ab, j_a, j_b)
+    one = Fraction(1)
+    mixed = _vertex_sum_ideal(a, b, 1, 1)
+    j_ab, j_a, j_b = (multiplier_monomials(x, one) for x in (mixed, a, b))
+    return _certify(a, b, one, one, mixed, one, j_ab, j_a, j_b)
 
 
 def strong_subadd_check_monomial(
@@ -855,7 +834,7 @@ def strong_subadd_check_monomial(
     j_mixed = multiplier_monomials(mixed, Fraction(1, m))
     j_a = multiplier_monomials(a, c)
     j_b = multiplier_monomials(b, d)
-    return _certify(a, b, c, d, j_mixed, j_a, j_b)
+    return _certify(a, b, c, d, mixed, Fraction(1, m), j_mixed, j_a, j_b)
 
 
 def barycentric_solve(points: Sequence[Sequence], target: Sequence) -> list[Fraction]:

@@ -2,10 +2,12 @@
 
 Everything here recomputes library results by a different route: box
 enumeration for anti-nef closures and fundamental cycles, pure-Python
-cofactor expansion for Newton-polyhedron facets, and exact
-Fourier-Motzkin feasibility for Newton-polyhedron membership, for
-membership in a Minkowski sum of two of them, and for product
-membership of subadditivity witnesses. Nothing imports the algorithms
+cofactor expansion for Newton-polyhedron facets, integer ranks of
+tight normals for vertices, per-generator dominance tests for the
+failures of a subadditivity certificate, and exact Fourier-Motzkin
+feasibility for Newton-polyhedron membership, for membership in a
+Minkowski sum of two of them, and for product membership of
+subadditivity witnesses. Nothing imports the algorithms
 under test beyond basic data types.
 """
 
@@ -126,6 +128,52 @@ def generic_newton_facets(rank: int, gens) -> set[tuple[tuple[int, ...], int]]:
                 g = gcd(g, a)
             out.add((tuple(a // g for a in normal), b // g))
     return out
+
+
+def _int_rank(vectors) -> int:
+    """Rank of integer vectors by fraction-free (Bareiss) elimination:
+    every entry stays an integer minor, so each division is exact."""
+    rows = [list(v) for v in vectors]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], rows[rank])]
+        prev = p
+        rank += 1
+    return rank
+
+
+def rank_vertices(gens, facets) -> set[tuple[int, ...]]:
+    """Generators whose tight facet normals have full integer rank:
+    the vertices of the polyhedron with the given facets."""
+    out = set()
+    for g in gens:
+        tight = [a for a, b in facets if sum(x * y for x, y in zip(a, g)) == b]
+        if _int_rank(tight) == len(g):
+            out.add(tuple(g))
+    return out
+
+
+def _in_product(v, j_a, j_b) -> bool:
+    for u in j_a:
+        diff = [y - x for x, y in zip(u, v)]
+        if min(diff) >= 0 and any(all(x <= y for x, y in zip(w, diff)) for w in j_b):
+            return True
+    return False
+
+
+def product_failures(j_product, j_a, j_b) -> tuple[tuple[int, ...], ...]:
+    """Generators of ``j_product`` outside J(a) J(b), one dominance test
+    each: v lies in the product when v - u dominates a generator of J(b)
+    for some generator u of J(a) below v. All points lie in one lattice,
+    so dominance is semigroup divisibility."""
+    return tuple(v for v in j_product if not _in_product(v, j_a, j_b))
 
 
 def _fourier_motzkin_feasible(constraints: list[tuple[list[Fraction], Fraction, bool]]) -> bool:

@@ -211,6 +211,36 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert report["error"] == "AssertionError: witness failed re-verification; internal bug"
 
 
+def test_false_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # an engine that puts the non-member x into J(m^4) on Z^2 makes x
+    # look like a violation of m^2 and m^2; the product-side interior
+    # re-check refuses it
+    from subadd import toric as tc
+
+    honest = tc.multiplier_monomials
+
+    def broken(ideal, c):
+        out = honest(ideal, c)
+        if ideal.max_coordinate == 4:
+            return tc.MonomialIdeal(ideal.ring, out.generators + ((1, 0),))
+        return out
+
+    monkeypatch.setattr(tc, "multiplier_monomials", broken)
+    _write_inputs(
+        tmp_path,
+        {"ring": {"rank": 2, "congruences": []}, "a": {"generators": [[2, 0], [1, 1], [0, 2]]}},
+    )
+    code, report = run(
+        capsys,
+        "checkmono",
+        "--ring", str(tmp_path / "ring.json"),
+        "--ideal-a", str(tmp_path / "a.json"),
+        "--ideal-b", str(tmp_path / "a.json"),
+    )
+    assert code == 4
+    assert report["error"] == "AssertionError: witness failed re-verification; internal bug"
+
+
 def test_classification_violation_exits_4(capsys, monkeypatch):
     def violated(*args):
         raise px.ClassificationViolationError("not in the catalog")

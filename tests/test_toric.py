@@ -16,6 +16,8 @@ from _oracles import (
     generic_newton_facets,
     in_minkowski_interior_fm,
     in_polyhedron_fm,
+    product_failures,
+    rank_vertices,
 )
 
 
@@ -215,6 +217,34 @@ class TestNewtonPolyhedron:
                     )
                 )
                 assert set(tc._newton_facets(rank, gens)) == generic_newton_facets(rank, gens)
+
+    def test_vertices_match_rank_oracle(self):
+        # incidence-matrix vertices against the integer rank of the
+        # tight normals; scaled points leave room for generators on
+        # edges, inside facets and interior to Newt
+        rng = random.Random(603)
+        kinds = set()
+        for rank in (1, 2, 3, 4):
+            for _ in range(25):
+                base = [
+                    tuple(6 * rng.randint(0, 4) for _ in range(rank))
+                    for _ in range(rng.randint(1, 5))
+                ]
+                gens = set(base)
+                for _ in range(3):
+                    u, w, z = (rng.choice(base) for _ in range(3))
+                    gens.add(tuple((x + y) // 2 for x, y in zip(u, w)))
+                    gens.add(tuple((x + y + t) // 3 for x, y, t in zip(u, w, z)))
+                    gens.add(tuple((x + y) // 2 + 1 for x, y in zip(u, w)))
+                ideal = tc.MonomialIdeal(tc.ToricRing(rank), gens)
+                poly = ideal.newton_polyhedron()
+                expected = rank_vertices(
+                    ideal.generators, generic_newton_facets(rank, ideal.generators)
+                )
+                assert set(poly.vertices) == expected, (rank, ideal.generators)
+                kinds.add((rank, len(expected) < len(ideal.generators)))
+        # every rank above 1 has non-vertex generators in its sample
+        assert kinds >= {(2, True), (3, True), (4, True)}
 
     def test_int64_guard_raises_out_of_scale(self):
         # 3! * big^3 passes 2^62 once big reaches about 9.2 * 10^5
@@ -477,6 +507,60 @@ class TestSubadditivityChecks:
         skipped = tc.subadditivity_check_monomial(a, b)
         assert skipped.witness == (3, 1, 0) and not skipped.exhaustive_recheck
 
+    def test_non_member_witness_fails_reverification(self, monkeypatch):
+        # J(m^4) on Z^2 is m^3; an engine that also returned the
+        # non-member x would turn x into a violation of m^2 and m^2
+        ring = tc.ToricRing(2)
+        m2 = tc.MonomialIdeal(ring, [(2, 0), (1, 1), (0, 2)])
+        honest = tc.multiplier_monomials
+
+        def broken(ideal, c):
+            out = honest(ideal, c)
+            if ideal.max_coordinate == 4:
+                return tc.MonomialIdeal(ring, out.generators + ((1, 0),))
+            return out
+
+        assert tc.subadditivity_check_monomial(m2, m2).verdict
+        monkeypatch.setattr(tc, "multiplier_monomials", broken)
+        with pytest.raises(AssertionError, match="re-verification"):
+            tc.subadditivity_check_monomial(m2, m2)
+
+    @pytest.mark.parametrize(
+        "case", ["rank-1", "rank-2", "rank-4", "multi-congruence", "rational-exponents"]
+    )
+    def test_failures_match_dominance_oracle(self, case):
+        # the staircase certificate against one dominance test per
+        # generator, on explorer-style inputs
+        rng = random.Random(f"failures:{case}")
+        rank = {"rank-1": 1, "rank-2": 2, "rank-4": 4}.get(case, 3)
+        cfg = tc.ExploreConfig(rank=rank, max_coordinate=8 if rank == 4 else 20)
+        exponents = [Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2)]
+        checked = failing = 0
+        while checked < 40:
+            r = rng.randint(2, 13)
+            weights = [rng.randrange(r) for _ in range(rank - 1)]
+            ring = tc.cyclic_quotient_ring(r, weights + [(-sum(weights)) % r])
+            if case == "multi-congruence":
+                extra = (tuple(rng.randrange(2) for _ in range(rank)), 2)
+                ring = tc.ToricRing(rank, ring.congruences + (extra,))
+                if any(s != 1 for s in ring.coordinate_steps):
+                    continue
+            a = tc._sample_ideal(rng, ring, cfg)
+            b = tc._sample_ideal(rng, ring, cfg)
+            if case == "rational-exponents":
+                c, d = rng.choice(exponents), rng.choice(exponents)
+                cert = tc.strong_subadd_check_monomial(a, b, c, d)
+            else:
+                cert = tc.subadditivity_check_monomial(a, b)
+            assert cert.failures == product_failures(
+                cert.j_product.generators, cert.j_a.generators, cert.j_b.generators
+            )
+            checked += 1
+            failing += bool(cert.failures)
+        if rank != 1 and case != "rank-2":
+            # rank 1 and rank 2 are log terminal: no violation to find
+            assert failing
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_vertex_sums_match_expanded_product(self, rank):
         # the route the checks replaced: expand a^p b^q and take
@@ -515,7 +599,9 @@ class TestSubadditivityChecks:
                 j_a = tc.multiplier_monomials(a, c)
                 j_b = tc.multiplier_monomials(b, d)
                 j_full = tc.multiplier_monomials(full, Fraction(1, m))
-                expected = tc._certify(a, b, Fraction(c), Fraction(d), j_full, j_a, j_b)
+                expected = tc._certify(
+                    a, b, Fraction(c), Fraction(d), full, Fraction(1, m), j_full, j_a, j_b
+                )
                 checks = [tc.strong_subadd_check_monomial(a, b, c, d)]
                 if (c, d) == (1, 1):
                     checks.append(tc.subadditivity_check_monomial(a, b))
