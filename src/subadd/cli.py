@@ -102,7 +102,7 @@ def _finish(args, command: str, inputs: dict, results: dict, status: str, t0: fl
         "inputs": inputs,
         "results": results,
         "status": status,
-        "wall_time_ms": int((time.time() - t0) * 1000),
+        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
     }
     _emit(report, args.out)
     return {"pass": 0, "violation": 1}[status]
@@ -120,6 +120,8 @@ def _cmd_check2d(args, t0: float) -> int:
 
 def _cmd_multiplier(args, t0: float) -> int:
     c = _rational_arg(args.c)
+    if args.model and args.ring:
+        raise ParseError("multiplier takes --model or --ring, not both")
     if args.model:
         model = _load_model(args.model)
         z = _load_cycle(args.ideal)
@@ -265,7 +267,7 @@ def _fail(args, t0: float, error: str, code: int) -> int:
         "command": args.verb,
         "error": error,
         "status": "error",
-        "wall_time_ms": int((time.time() - t0) * 1000),
+        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
     }
     _emit(report, getattr(args, "out", None))
     print(f"error: {error}", file=sys.stderr)
@@ -275,7 +277,7 @@ def _fail(args, t0: float, error: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         return args.func(args, t0)
     except ParseError as exc:

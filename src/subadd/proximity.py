@@ -97,24 +97,17 @@ def proximity_data(model: ResolutionModel) -> ProximityData:
         prox[name] = frozenset(center - base)
         prox_base[name] = frozenset(center & base)
 
-    pullbacks = {
-        name: model.pullback(i + 1, Cycle({name: 1})) for i, name in enumerate(names)
-    }
+    pullbacks = dict(zip(names, model.blowup_pullbacks()))
 
     # Independent derivation: E_i is proximate to E_j exactly when the
     # pullback of E_i meets the strict transform of E_j on the final
     # surface; same for stage-0 curves. Pin down the sign convention.
-    for i, ei in enumerate(names):
-        from_inter = frozenset(
-            ej
-            for j, ej in enumerate(names)
-            if j != i and model.dot_curve(pullbacks[ei], ej) > 0
-        )
+    for ei in names:
+        rows = model.curve_rows(pullbacks[ei].items())
+        from_inter = frozenset(ej for ej in names if ej != ei and rows[ej] > 0)
         if from_inter != prox[ei]:
             raise AssertionError("proximity derivations disagree; internal bug")
-        base_inter = frozenset(
-            c for c in base if model.dot_curve(pullbacks[ei], c) > 0
-        )
+        base_inter = frozenset(c for c in base if rows[c] > 0)
         if base_inter != prox_base[ei]:
             raise AssertionError("base proximity derivations disagree; internal bug")
 
@@ -152,28 +145,29 @@ class DCoordinates:
 def d_coordinates(model: ResolutionModel, z: Cycle) -> DCoordinates:
     """Decompose ``z``; exact, and the basis always spans."""
     base = model.pushforward(z, 0)
-    rest = z - model.pullback(0, base)
+    rest = dict((z - model.pullback(0, base)).items())
     d: list[Fraction] = []
-    for i, name in enumerate(model.blowup_names):
-        di = rest.coeff(name)
+    for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
+        di = rest.get(name, Fraction(0))
         d.append(di)
         if di:
-            rest = rest - di * model.pullback(i + 1, Cycle({name: 1}))
-    if rest:
+            for n, q in pb.items():
+                rest[n] = rest.get(n, 0) - di * q
+    if any(rest.values()):
         raise AssertionError("d-coordinate remainder nonzero; internal bug")
     return DCoordinates(base=base, d=tuple(d))
 
 
 def from_d_coordinates(model: ResolutionModel, dc: DCoordinates) -> Cycle:
     z = model.pullback(0, dc.base)
-    for i, (name, di) in enumerate(zip(model.blowup_names, dc.d)):
+    for pb, di in zip(model.blowup_pullbacks(), dc.d):
         if di:
-            z = z + di * model.pullback(i + 1, Cycle({name: 1}))
+            z = z + di * pb
     return z
 
 
-def _pd_rows(matrix, d: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((pij * dj for pij, dj in zip(row, d)), Fraction(0)) for row in matrix]
+def _pd_rows(matrix, d: Sequence[int | Fraction]) -> list[int | Fraction]:
+    return [sum(pij * dj for pij, dj in zip(row, d)) for row in matrix]
 
 
 def anti_nef_test_d(
@@ -398,8 +392,10 @@ def paired_sequences(
     lam = lambda_set(model, prox)
     names = model.blowup_names
 
-    a0 = tuple(int(v) for v in d_coordinates(model, f_a).d)
-    b0 = tuple(int(v) for v in d_coordinates(model, f_b).d)
+    dc_a = d_coordinates(model, f_a)
+    dc_b = d_coordinates(model, f_b)
+    a0 = tuple(int(v) for v in dc_a.d)
+    b0 = tuple(int(v) for v in dc_b.d)
 
     c_trace = computation_sequence(model, f_a + f_b, prox=prox)
     a = _initial_step(a0, lam)
@@ -427,10 +423,8 @@ def paired_sequences(
     a_steps += a_ext
     b_steps += b_ext
 
-    base_a = d_coordinates(model, f_a).base
-    base_b = d_coordinates(model, f_b).base
-    cyc_a = from_d_coordinates(model, DCoordinates(base_a, tuple(map(Fraction, a_final))))
-    cyc_b = from_d_coordinates(model, DCoordinates(base_b, tuple(map(Fraction, b_final))))
+    cyc_a = from_d_coordinates(model, DCoordinates(dc_a.base, tuple(map(Fraction, a_final))))
+    cyc_b = from_d_coordinates(model, DCoordinates(dc_b.base, tuple(map(Fraction, b_final))))
     cyc_c = c_trace.final_cycle
 
     total = cyc_a + cyc_b
@@ -574,7 +568,7 @@ def gorenstein_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
         stage = i + 1
         push = model.pushforward(z, stage)
         if model.dot_curve(push, name, stage=stage) == 0:
-            result = result + model.pullback(stage, Cycle({name: 1}))
+            result = result + model.blowup_pullbacks()[i]
     return result
 
 
@@ -599,7 +593,7 @@ def naive_ceil_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
         )
         push = model.pushforward(z, stage)
         if commutes and model.dot_curve(push, name, stage=stage) == 0:
-            result = result + model.pullback(stage, Cycle({name: 1}))
+            result = result + model.blowup_pullbacks()[i]
     return result
 
 

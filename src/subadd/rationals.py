@@ -3,10 +3,15 @@
 Every scalar in this package is a ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms, positive denominator) or a plain
 ``int``. Floats are rejected at the boundary so no rounding can creep
-in anywhere. Matrix routines use fraction-free (Bareiss) elimination on
-denominator-cleared integer rows, which keeps intermediate integers at
-determinant scale. Everything is desk-scale (a few dozen rows); there
-is deliberately no sparse machinery.
+in anywhere. Matrices keep integer entries as ``int``: intersection
+forms are integral, and the matrix routines work on Python integers
+throughout. Each row is cleared of denominators by a positive scale,
+then eliminated fraction-free (Bareiss, Math. Comp. 22, 1968), which
+keeps intermediate integers at minor scale and makes every division
+exact. Solutions are back-substituted as integers over the determinant
+and re-verified against the un-eliminated rows; only the returned
+values are Fractions. Everything is desk-scale (a few dozen rows);
+there is deliberately no sparse machinery.
 """
 
 from __future__ import annotations
@@ -57,10 +62,17 @@ def rational_to_string(x) -> str:
     return str(as_rational(x))
 
 
+def _exact(x):
+    """An ``int`` stays an ``int``; anything else goes through as_rational."""
+    return x if type(x) is int else as_rational(x)
+
+
 class QMatrix:
     """Dense rectangular matrix over the rationals.
 
-    Rows are stored as lists of Fractions. The empty 0x0 matrix is
+    Rows are stored as lists whose entries are ``int`` where the input
+    was a plain ``int`` and ``Fraction`` otherwise, so an integral
+    matrix costs no Fraction arithmetic. The empty 0x0 matrix is
     allowed (it shows up as the intersection form of a model with no
     exceptional curves).
     """
@@ -68,7 +80,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Sequence[Sequence]):
-        data = [[as_rational(x) for x in row] for row in entries]
+        data = [[_exact(x) for x in row] for row in entries]
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         if any(len(row) != self.cols for row in data):
@@ -79,10 +91,10 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list[int | Fraction]:
         return list(self.data[i])
 
     def is_square(self) -> bool:
@@ -97,9 +109,6 @@ class QMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def leading_submatrix(self, k: int) -> "QMatrix":
-        return QMatrix([row[:k] for row in self.data[:k]])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QMatrix) and self.data == other.data
 
@@ -107,33 +116,81 @@ class QMatrix:
         return f"QMatrix({[[str(x) for x in row] for row in self.data]})"
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Scale each row by the lcm of its denominators; return rows and scales."""
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Scale each row by the lcm of its denominators; return rows and scales.
+
+    The scales are positive, so a leading minor of the scaled rows has
+    the sign of the same minor of the input.
+    """
     out, scales = [], []
     for row in rows:
         s = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * s) for x in row])
+        out.append([x.numerator * (s // x.denominator) for x in row])
         scales.append(s)
     return out, scales
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int, width: int) -> None:
+    """Eliminate column k below row k of ``a`` in place, fraction-free.
+
+    ``prev`` is the pivot of step k-1 (1 at k = 0). Afterwards entry
+    (i, j), for i, j > k, is the minor on rows 0..k, i and columns
+    0..k, j of the rows as they were before elimination began, so every
+    division by ``prev`` is exact (Sylvester's identity).
+    """
+    ak = a[k]
+    p = ak[k]
+    for i in range(k + 1, len(a)):
+        ai = a[i]
+        f = ai[k]
+        for j in range(k + 1, width):
+            ai[j] = (p * ai[j] - f * ak[j]) // prev
+        ai[k] = 0
+
+
+def _back_substitute(tri: list[list[int]], det: int) -> list[int]:
+    """The integers X = det*x for the upper-triangular augmented rows
+    ``tri`` (last column the right-hand side).
+
+    Row i gives tri[i][i]*X_i = det*b_i - sum_{j>i} tri[i][j]*X_j; the
+    division must be exact, which holds when det is a multiple of every
+    denominator of x, and an inexact one raises AssertionError.
+    """
+    n = len(tri)
+    big = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = tri[i]
+        acc = det * row[n] - sum(row[j] * big[j] for j in range(i + 1, n))
+        q, r = divmod(acc, row[i])
+        if r:
+            raise AssertionError("fraction-free back substitution is inexact")
+        big[i] = q
+    return big
 
 
 def solve_linear(m: QMatrix, rhs: Sequence) -> list[Fraction]:
     """Solve m.x = rhs exactly.
 
-    Fraction-free Bareiss elimination on the denominator-cleared
-    augmented matrix, then back substitution over the rationals. The
-    solution is re-verified against the original system before return.
+    Bareiss elimination with row swaps on the denominator-cleared
+    augmented rows leaves det, the last pivot, equal to the determinant
+    of the scaled rows up to sign. By Cramer's rule every det*x_i is an
+    integer, so back substitution runs on the integers X_i = det*x_i,
+    and each division must leave no remainder. Before return the
+    integers are re-verified against a copy of the un-eliminated rows,
+    sum_j a_ij*X_j == b_i*det, and x_i = X_i/det is returned as a
+    Fraction in lowest terms.
     """
     if not m.is_square():
         raise ValueError("solve_linear needs a square matrix")
     n = m.rows
-    rhs_q = [as_rational(x) for x in rhs]
+    rhs_q = [_exact(x) for x in rhs]
     if len(rhs_q) != n:
         raise ValueError("right-hand side length does not match matrix")
     if n == 0:
         return []
 
-    aug, _ = _integer_rows([m.row(i) + [rhs_q[i]] for i in range(n)])
+    original, _ = _integer_rows([m.data[i] + [rhs_q[i]] for i in range(n)])
+    aug = [list(row) for row in original]
     prev = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if aug[r][k] != 0), None)
@@ -141,23 +198,15 @@ def solve_linear(m: QMatrix, rhs: Sequence) -> list[Fraction]:
             raise SingularMatrixError("matrix is singular")
         if pivot != k:
             aug[k], aug[pivot] = aug[pivot], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
+        _bareiss_step(aug, k, prev, n + 1)
         prev = aug[k][k]
 
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-
-    for i in range(n):
-        if sum((m.entry(i, j) * x[j] for j in range(n)), Fraction(0)) != rhs_q[i]:
+    det = prev
+    big = _back_substitute(aug, det)
+    for row in original:
+        if sum(a * x for a, x in zip(row, big)) != row[n] * det:
             raise AssertionError("exact solve failed to re-verify")
-    return x
+    return [Fraction(x, det) for x in big]
 
 
 def determinant(m: QMatrix) -> Fraction:
@@ -167,7 +216,7 @@ def determinant(m: QMatrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a, scales = _integer_rows([m.row(i) for i in range(n)])
+    a, scales = _integer_rows(m.data)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -177,10 +226,7 @@ def determinant(m: QMatrix) -> Fraction:
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+        _bareiss_step(a, k, prev, n)
         prev = a[k][k]
     scale = 1
     for s in scales:
@@ -189,17 +235,27 @@ def determinant(m: QMatrix) -> Fraction:
 
 
 def is_negative_definite(m: QMatrix) -> bool:
-    """Sylvester test: leading principal minors alternate in sign, starting negative."""
+    """Sylvester test in one Bareiss pass.
+
+    Elimination without pivoting on the denominator-cleared rows makes
+    the k-th pivot the k-th leading principal minor times a positive
+    row scale. The matrix is negative definite exactly when the pivots
+    alternate in sign starting negative; the pass stops at the first
+    zero or wrongly signed pivot, so it never needs a row swap.
+    """
     if not m.is_square():
         raise ValueError("definiteness needs a square matrix")
     if not m.is_symmetric():
         raise NonSymmetricError("definiteness test needs a symmetric matrix")
-    for k in range(1, m.rows + 1):
-        d = determinant(m.leading_submatrix(k))
-        if d == 0:
+    n = m.rows
+    a, _ = _integer_rows(m.data)
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p == 0 or (p > 0) != (k % 2 == 1):
             return False
-        if (d > 0) != (k % 2 == 0):
-            return False
+        _bareiss_step(a, k, prev, n)
+        prev = p
     return True
 
 

@@ -25,7 +25,6 @@ pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -246,7 +245,7 @@ class ResolutionModel:
             inter[a][b] += 1
             inter[b][a] += 1
 
-        stages = [copy.deepcopy(inter)]
+        stages = [{n: dict(row) for n, row in inter.items()}]
         for bl in self.blowups:
             if bl.name in kind:
                 raise ModelError(f"duplicate curve name {bl.name!r}")
@@ -279,7 +278,7 @@ class ResolutionModel:
                 inter[center[1]][center[0]] -= 1
             names.append(new)
             kind[new] = EXCEPTIONAL
-            stages.append(copy.deepcopy(inter))
+            stages.append({n: dict(row) for n, row in inter.items()})
 
         self.names: tuple[str, ...] = tuple(names)
         self.kind: dict[str, str] = kind
@@ -294,6 +293,10 @@ class ResolutionModel:
         }
         self._stage_inter = tuple(stages)
         self.inter = self._stage_inter[-1]
+        # The nonzero entries of each final-surface row, for row sweeps.
+        self._nonzero: dict[str, tuple[tuple[str, int], ...]] = {
+            a: tuple((b, v) for b, v in row.items() if v) for a, row in self.inter.items()
+        }
 
         block = self.intersection_matrix(curves=self.exceptional)
         if not is_negative_definite(block):
@@ -302,6 +305,7 @@ class ResolutionModel:
             )
         self._K = self._adjunction_canonical()
         self._stage_canonicals: dict[int, Cycle] = {}
+        self._blowup_pullbacks: tuple[Cycle, ...] | None = None
 
     def _adjunction_canonical(self) -> Cycle:
         exc = list(self.exceptional)
@@ -354,6 +358,23 @@ class ResolutionModel:
     def dot_curve(self, z: Cycle, name: str, stage: int | None = None) -> Fraction:
         return self.dot(z, Cycle({name: 1}), stage)
 
+    def curve_rows(
+        self, coeffs: Iterable[tuple[str, int | Fraction]]
+    ) -> dict[str, int | Fraction]:
+        """z.C for every curve C of the final surface, in one sweep.
+
+        ``coeffs`` is the (name, coefficient) pairs of z, names assumed
+        valid; integral coefficients are taken as ``int``, so an
+        integral cycle costs no Fraction arithmetic.
+        """
+        rows: dict[str, int | Fraction] = dict.fromkeys(self.names, 0)
+        for a, q in coeffs:
+            if q.denominator == 1:
+                q = q.numerator
+            for b, v in self._nonzero[a]:
+                rows[b] += q * v
+        return rows
+
     # -- canonical divisors ----------------------------------------------
 
     @property
@@ -395,7 +416,8 @@ class ResolutionModel:
         self._validate_support(z)
         if not z.is_effective():
             return False
-        return all(self.dot_curve(z, e) <= 0 for e in self.exceptional)
+        rows = self.curve_rows(z.items())
+        return all(rows[e] <= 0 for e in self.exceptional)
 
     def anti_nef_closure(
         self, z: Cycle, choose: Callable[[list[str]], str] | None = None
@@ -425,19 +447,15 @@ class ResolutionModel:
             else:
                 work[name] = max(v, 0)
 
-        w = Cycle(work)
-        rows = {e: self.dot_curve(w, e) for e in self.exceptional}
-        coeffs = {n: int(q) for n, q in w.items()}
+        rows = self.curve_rows(work.items())
         for _ in range(_CLOSURE_ITERATION_CAP):
             bad = [e for e in self.exceptional if rows[e] > 0]
             if not bad:
-                return Cycle(coeffs)
+                return Cycle(work)
             pick = bad[0] if choose is None else choose(bad)
-            coeffs[pick] = coeffs.get(pick, 0) + 1
-            row = self.inter[pick]
-            for e in self.exceptional:
-                if row[e]:
-                    rows[e] += row[e]
+            work[pick] = work.get(pick, 0) + 1
+            for b, v in self._nonzero[pick]:
+                rows[b] += v
         raise AssertionError("anti-nef closure did not terminate; internal bug")
 
     def fundamental_cycle(self) -> Cycle:
@@ -469,10 +487,20 @@ class ResolutionModel:
         self._validate_support(z, stage)
         w = {n: q for n, q in z.items()}
         for bl in self.blowups[stage:]:
-            m = sum((w.get(c, Fraction(0)) for c in bl.center_on), Fraction(0))
+            m = sum(w.get(c, 0) for c in bl.center_on)
             if m:
                 w[bl.name] = m
         return Cycle(w)
+
+    def blowup_pullbacks(self) -> tuple[Cycle, ...]:
+        """Total transforms on the final surface of the blowup curves,
+        in blowup order; computed on first use."""
+        if self._blowup_pullbacks is None:
+            self._blowup_pullbacks = tuple(
+                self.pullback(i + 1, Cycle({name: 1}))
+                for i, name in enumerate(self.blowup_names)
+            )
+        return self._blowup_pullbacks
 
     def pullback_one_step(self, stage: int, z: Cycle) -> Cycle:
         """Pull a stage ``stage - 1`` cycle through the single blowup ``stage``."""

@@ -275,6 +275,40 @@ def test_reports_are_deterministic(tmp_path):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_wall_time_is_monotonic_nonnegative_int(capsys, monkeypatch):
+    # a wall clock stepped back an hour on every read must not show up
+    clock = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    _, passed = run(
+        capsys,
+        "check2d",
+        "--model", str(DATA / "a1_model.json"),
+        "--ideal-a", str(DATA / "fa.json"),
+        "--ideal-b", str(DATA / "fa.json"),
+    )
+    code, failed = run(capsys, "check2d", "--model", "missing.json",
+                       "--ideal-a", "a.json", "--ideal-b", "b.json")
+    assert passed["status"] == "pass"
+    assert (code, failed["status"]) == (2, "error")
+    for report in (passed, failed):
+        assert type(report["wall_time_ms"]) is int
+        assert report["wall_time_ms"] >= 0
+
+
+def test_multiplier_with_model_and_ring_is_input_error(capsys):
+    code, report = run(
+        capsys,
+        "multiplier",
+        "--model", str(DATA / "a1_model.json"),
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal", str(DATA / "fa.json"),
+        "-c", "1",
+    )
+    assert code == 2
+    assert report["status"] == "error"
+    assert "not both" in report["error"]
+
+
 def test_explore_verb(capsys):
     code, report = run(
         capsys, "explore", "--trials", "3", "--seed", "11", "--max-coordinate", "10"

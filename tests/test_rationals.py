@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from subadd.rationals import (
     NonSymmetricError,
     QMatrix,
     SingularMatrixError,
+    _back_substitute,
     as_rational,
     determinant,
     is_negative_definite,
@@ -18,6 +20,44 @@ from subadd.rationals import (
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
+small_integers = st.integers(-9, 9)
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+def sylvester_oracle(rows) -> bool:
+    """Negative definite iff the k-th leading principal minor, each one
+    a fresh determinant, is nonzero with sign (-1)^k."""
+    for k in range(1, len(rows) + 1):
+        d = determinant(QMatrix([row[:k] for row in rows[:k]]))
+        if d == 0 or (d > 0) != (k % 2 == 0):
+            return False
+    return True
+
+
+@st.composite
+def symmetric_rows(draw, entries):
+    """A symmetric matrix of size 0-7, shaped at random: as drawn,
+    pushed toward negative definite by a dominant negative diagonal
+    (slack 0 gives singular boundary cases), or with one diagonal entry
+    moved so that one leading minor is zero while the minors after it
+    stay generically nonzero."""
+    n = draw(st.integers(0, 7))
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    shape = draw(st.sampled_from(["raw", "dominant", "zero-minor"]))
+    if shape != "raw":
+        for i in range(n):
+            off = sum(abs(rows[i][j]) for j in range(n) if j != i)
+            rows[i][i] = -off - draw(st.integers(0, 2))
+    if shape == "zero-minor" and n >= 2:
+        k = draw(st.integers(1, n - 1))
+        # the (k+1)-th leading minor is affine in rows[k][k] with slope
+        # the k-th leading minor; move rows[k][k] to its root
+        below = determinant(QMatrix([row[:k] for row in rows[:k]]))
+        if below != 0:
+            here = determinant(QMatrix([row[: k + 1] for row in rows[: k + 1]]))
+            rows[k][k] = rows[k][k] - here / below
+    return rows
 
 
 def test_identity_solve():
@@ -84,18 +124,20 @@ def test_field_axioms(a, b, c):
         assert a * (1 / a) == 1
 
 
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
+def _square_system(entries):
+    return st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.tuples(
             st.lists(
-                st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                st.lists(entries, min_size=n, max_size=n),
                 min_size=n,
                 max_size=n,
             ),
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
         )
     )
-)
+
+
+@given(st.one_of(_square_system(small_integers), _square_system(small_rationals)))
 def test_solve_reverifies(data):
     rows, rhs = data
     m = QMatrix(rows)
@@ -104,5 +146,29 @@ def test_solve_reverifies(data):
     except SingularMatrixError:
         assert determinant(m) == 0
         return
+    for v in x:
+        assert type(v) is Fraction
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
     for i in range(m.rows):
         assert sum((m.entry(i, j) * x[j] for j in range(m.cols)), Fraction(0)) == rhs[i]
+
+
+@given(st.one_of(symmetric_rows(small_integers), symmetric_rows(small_rationals)))
+@example([[-1, 1, 0], [1, -1, 1], [0, 1, -2]])  # minors -1, 0, 1
+@example([[0, 1], [1, -1]])  # minors 0, -1
+@example([[2]])  # positive definite
+@example([[-2, 1], [1, -2]])
+def test_negative_definite_matches_sylvester_oracle(rows):
+    assert is_negative_definite(QMatrix(rows)) == sylvester_oracle(rows)
+
+
+def test_qmatrix_keeps_ints():
+    m = QMatrix([[1, Fraction(1, 2)], ["3/4", Fraction(4, 2)]])
+    assert [[type(x) for x in row] for row in m.data] == [[int, Fraction], [Fraction, Fraction]]
+
+
+def test_back_substitution_rejects_inexact_division():
+    # 2x = 1 has x = 1/2, and 1 is not a multiple of its denominator
+    with pytest.raises(AssertionError, match="inexact"):
+        _back_substitute([[2, 1]], 1)
+    assert _back_substitute([[2, 1]], 2) == [1]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from subadd.rationals import QMatrix
 from subadd.surface import (
     EXCEPTIONAL,
     MARKED,
@@ -197,6 +198,92 @@ class TestClosure:
             chooser = random.Random(rng.randint(0, 10**6))
             randomized = model.anti_nef_closure(raw, choose=chooser.choice)
             assert smallest == randomized
+
+
+class TestRowPass:
+    """The one-sweep rows of ``curve_rows``, ``is_anti_nef`` and the
+    closure loop against ``dot_curve``, one intersection number at a
+    time, on random models with marked curves."""
+
+    @staticmethod
+    def _cycles(rng, model):
+        an = random_anti_nef_cycle(rng, model)
+        q = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        bump = Cycle({rng.choice(model.names): Fraction(rng.choice([-1, 1]), 3)})
+        return [
+            an,
+            q * an,
+            q * an + bump,
+            an + Cycle({rng.choice(model.names): 1}),
+            random_integral_cycle(rng, model, lo=0, hi=3),
+            random_integral_cycle(rng, model),
+            Cycle({n: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for n in model.names}),
+        ]
+
+    def test_is_anti_nef_matches_dot_curve(self):
+        rng = random.Random(410)
+        seen = set()
+        for _ in range(40):
+            model = random_model(rng, max_blowups=5)
+            for z in self._cycles(rng, model):
+                expected = z.is_effective() and all(
+                    model.dot_curve(z, e) <= 0 for e in model.exceptional
+                )
+                assert model.is_anti_nef(z) == expected
+                seen.add((expected, z.is_integral()))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_curve_rows_match_dot_curve(self):
+        rng = random.Random(411)
+        for _ in range(40):
+            model = random_model(rng, max_blowups=5)
+            for z in self._cycles(rng, model):
+                rows = model.curve_rows(z.items())
+                assert rows == {c: model.dot_curve(z, c) for c in model.names}
+
+    def test_closure_rows_match_dot_curve_at_every_step(self):
+        rng = random.Random(412)
+        steps = 0
+        for _ in range(40):
+            model = random_model(rng, max_blowups=5)
+            z = random_integral_cycle(rng, model)
+            z = Cycle(
+                {n: abs(q) if model.kind[n] == MARKED else q for n, q in z.items()}
+            )
+            work = Cycle(
+                {n: q if model.kind[n] == MARKED else max(q, 0) for n, q in z.items()}
+            )
+            chooser = random.Random(rng.randint(0, 10**6))
+
+            def choose(bad):
+                nonlocal work, steps
+                assert bad == [e for e in model.exceptional if model.dot_curve(work, e) > 0]
+                pick = chooser.choice(bad)
+                work = work + Cycle({pick: 1})
+                steps += 1
+                return pick
+
+            out = model.anti_nef_closure(z, choose=choose)
+            assert out == work
+            assert all(model.dot_curve(out, e) <= 0 for e in model.exceptional)
+        assert steps > 100
+
+    def test_stage_matrices_are_snapshots(self):
+        rng = random.Random(413)
+        for _ in range(30):
+            model = random_model(rng, max_blowups=5)
+            base = [c.name for c in model.base_curves]
+            index = {n: i for i, n in enumerate(base)}
+            graph = [[0] * len(base) for _ in base]
+            for c in model.base_curves:
+                graph[index[c.name]][index[c.name]] = c.self_intersection
+            for a, b in model.base_edges:
+                graph[index[a]][index[b]] += 1
+                graph[index[b]][index[a]] += 1
+            assert model.intersection_matrix(stage=0) == QMatrix(graph)
+            for s in range(model.n_blowups + 1):
+                prefix = build_model(model.base_curves, model.base_edges, model.blowups[:s])
+                assert model.intersection_matrix(stage=s) == prefix.intersection_matrix()
 
 
 class TestFundamentalCycle:
