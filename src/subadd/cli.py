@@ -3,7 +3,9 @@
 Verbs: check2d, multiplier, checkmono, strongmono, reproduce, explore.
 Input files are UTF-8 JSON in the schemas of the surface and toric
 modules; every run emits a JSON report (stdout or --out) and exits 0
-on a pass, 1 when a violation was found, 2 on an input error, 3 when
+on a pass, 1 when a violation was found, 2 on an input error (an
+unreadable, undecodable or wrongly shaped input file, an invalid
+parameter, or an unwritable --out, which leaves no report), 3 when
 the input is beyond desk scale (a typed out-of-scale error or an
 exhausted memory allocation), 4 on an internal error (a failed
 internal consistency check or a classification violation).
@@ -17,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import proximity as px
 from . import surface as sf
@@ -28,53 +31,34 @@ class ParseError(ValueError):
     """Bad input file; the message carries the path and the cause."""
 
 
-def _load_json(path: str):
+def _load(path: str, kind: str, parse, inputs: dict[str, str]):
+    """Read one JSON input file, record its sha256 digest in ``inputs``
+    and build the ``kind`` object from its top-level JSON object with
+    ``parse``. Every read, decode and shape failure is a ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: file not found") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return "sha256:" + h.hexdigest()
-
-
-def _load_model(path: str) -> sf.ResolutionModel:
-    data = _load_json(path)
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(value, dict):
+        raise ParseError(
+            f"{path}: invalid {kind} (top-level JSON value is {type(value).__name__}, not object)"
+        )
     try:
-        return sf.ResolutionModel.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid model ({exc})") from exc
-
-
-def _load_cycle(path: str) -> sf.Cycle:
-    data = _load_json(path)
-    try:
-        return sf.Cycle.from_json_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid cycle ({exc})") from exc
-
-
-def _load_ring(path: str) -> tc.ToricRing:
-    data = _load_json(path)
-    try:
-        return tc.ToricRing.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid ring ({exc})") from exc
-
-
-def _load_ideal(path: str, ring: tc.ToricRing) -> tc.MonomialIdeal:
-    data = _load_json(path)
-    try:
-        return tc.MonomialIdeal.from_json_dict(ring, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: invalid ideal ({exc})") from exc
+        return parse(value)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{path}: invalid {kind} ({exc})") from exc
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -84,89 +68,62 @@ def _rational_arg(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from exc
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _finish(args, command: str, inputs: dict, results: dict, status: str, t0: float) -> int:
-    report = {
-        "command": command,
-        "arguments": {
-            k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
-        },
-        "inputs": inputs,
-        "results": results,
-        "status": status,
-        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    _emit(report, args.out)
-    return {"pass": 0, "violation": 1}[status]
-
-
-def _cmd_check2d(args, t0: float) -> int:
-    model = _load_model(args.model)
-    f_a = _load_cycle(args.ideal_a)
-    f_b = _load_cycle(args.ideal_b)
-    inputs = {p: _digest(p) for p in (args.model, args.ideal_a, args.ideal_b)}
+def _cmd_check2d(args, inputs: dict) -> tuple[dict, bool]:
+    model = _load(args.model, "model", sf.ResolutionModel.from_json_dict, inputs)
+    f_a = _load(args.ideal_a, "cycle", sf.Cycle.from_json_dict, inputs)
+    f_b = _load(args.ideal_b, "cycle", sf.Cycle.from_json_dict, inputs)
     cert = px.subadditivity_check_2d(model, f_a, f_b)
-    status = "pass" if cert.verdict else "violation"
-    return _finish(args, "check2d", inputs, cert.to_json_dict(), status, t0)
+    return cert.to_json_dict(), cert.verdict
 
 
-def _cmd_multiplier(args, t0: float) -> int:
+def _cmd_multiplier(args, inputs: dict) -> tuple[dict, bool]:
     c = _rational_arg(args.c)
     if args.model and args.ring:
         raise ParseError("multiplier takes --model or --ring, not both")
     if args.model:
-        model = _load_model(args.model)
-        z = _load_cycle(args.ideal)
-        inputs = {p: _digest(p) for p in (args.model, args.ideal)}
+        model = _load(args.model, "model", sf.ResolutionModel.from_json_dict, inputs)
+        z = _load(args.ideal, "cycle", sf.Cycle.from_json_dict, inputs)
         cycle = model.multiplier_cycle(z, c)
-        results = {"multiplier_cycle": cycle.to_json_dict()}
-    elif args.ring:
-        ring = _load_ring(args.ring)
-        ideal = _load_ideal(args.ideal, ring)
-        inputs = {p: _digest(p) for p in (args.ring, args.ideal)}
+        return {"multiplier_cycle": cycle.to_json_dict()}, True
+    if args.ring:
+        ring = _load(args.ring, "ring", tc.ToricRing.from_json_dict, inputs)
+        parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
+        ideal = _load(args.ideal, "ideal", parse_ideal, inputs)
         out = tc.multiplier_monomials(ideal, c)
-        results = {"multiplier_generators": [list(g) for g in out.generators]}
-    else:
-        raise ParseError("multiplier needs either --model or --ring")
-    return _finish(args, "multiplier", inputs, results, "pass", t0)
+        return {"multiplier_generators": [list(g) for g in out.generators]}, True
+    raise ParseError("multiplier needs either --model or --ring")
 
 
-def _cmd_checkmono(args, t0: float) -> int:
-    ring = _load_ring(args.ring)
-    a = _load_ideal(args.ideal_a, ring)
-    b = _load_ideal(args.ideal_b, ring)
-    inputs = {p: _digest(p) for p in (args.ring, args.ideal_a, args.ideal_b)}
-    cert = tc.subadditivity_check_monomial(a, b)
-    status = "pass" if cert.verdict else "violation"
-    return _finish(args, "checkmono", inputs, cert.to_json_dict(), status, t0)
+def _ideal_pair(args, inputs: dict) -> tuple[tc.MonomialIdeal, tc.MonomialIdeal]:
+    ring = _load(args.ring, "ring", tc.ToricRing.from_json_dict, inputs)
+    parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
+    a = _load(args.ideal_a, "ideal", parse_ideal, inputs)
+    b = _load(args.ideal_b, "ideal", parse_ideal, inputs)
+    return a, b
 
 
-def _cmd_strongmono(args, t0: float) -> int:
-    ring = _load_ring(args.ring)
-    a = _load_ideal(args.ideal_a, ring)
-    b = _load_ideal(args.ideal_b, ring)
-    inputs = {p: _digest(p) for p in (args.ring, args.ideal_a, args.ideal_b)}
+def _cmd_checkmono(args, inputs: dict) -> tuple[dict, bool]:
+    cert = tc.subadditivity_check_monomial(*_ideal_pair(args, inputs))
+    return cert.to_json_dict(), cert.verdict
+
+
+def _cmd_strongmono(args, inputs: dict) -> tuple[dict, bool]:
+    a, b = _ideal_pair(args, inputs)
     cert = tc.strong_subadd_check_monomial(a, b, _rational_arg(args.c), _rational_arg(args.d))
-    status = "pass" if cert.verdict else "violation"
-    return _finish(args, "strongmono", inputs, cert.to_json_dict(), status, t0)
+    return cert.to_json_dict(), cert.verdict
 
 
-def _cmd_explore(args, t0: float) -> int:
-    ring = _load_ring(args.ring) if args.ring else None
+def _cmd_explore(args, inputs: dict) -> tuple[dict, bool]:
+    ring = _load(args.ring, "ring", tc.ToricRing.from_json_dict, inputs) if args.ring else None
     ideal_a = ideal_b = None
     if args.ideal_a or args.ideal_b:
         if ring is None:
             raise ParseError("pinned ideals need --ring")
-        ideal_a = _load_ideal(args.ideal_a, ring) if args.ideal_a else None
-        ideal_b = _load_ideal(args.ideal_b, ring) if args.ideal_b else None
+        parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
+        if args.ideal_a:
+            ideal_a = _load(args.ideal_a, "ideal", parse_ideal, inputs)
+        if args.ideal_b:
+            ideal_b = _load(args.ideal_b, "ideal", parse_ideal, inputs)
     config = tc.ExploreConfig(
         rank=args.rank,
         trials=args.trials,
@@ -180,24 +137,17 @@ def _cmd_explore(args, t0: float) -> int:
         ideal_a=ideal_a,
         ideal_b=ideal_b,
     )
-    inputs = {
-        p: _digest(p)
-        for p in (args.ring, args.ideal_a, args.ideal_b)
-        if p
-    }
     report = tc.explore_question33(config)
-    status = "pass" if not report.violations else "violation"
-    return _finish(args, "explore", inputs, report.to_json_dict(), status, t0)
+    return report.to_json_dict(), not report.violations
 
 
-def _cmd_reproduce(args, t0: float) -> int:
+def _cmd_reproduce(args, inputs: dict) -> tuple[dict, bool]:
     from .reproduce import run_case
 
     results, mismatches = run_case(args.id, k=args.k, n=args.n)
-    status = "pass" if not mismatches else "violation"
     results = dict(results)
     results["mismatches"] = mismatches
-    return _finish(args, "reproduce", {}, results, status, t0)
+    return results, not mismatches
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,26 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(args, t0: float, error: str, code: int) -> int:
-    report = {
-        "command": args.verb,
-        "error": error,
-        "status": "error",
-        "wall_time_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    _emit(report, getattr(args, "out", None))
-    print(f"error: {error}", file=sys.stderr)
-    return code
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
+    inputs: dict[str, str] = {}
+    error = None
     try:
-        return args.func(args, t0)
+        results, passed = args.func(args, inputs)
     except ParseError as exc:
-        return _fail(args, t0, str(exc), 2)
+        code, error = 2, str(exc)
     except (
         sf.ModelError,
         sf.NotAntiNefError,
@@ -294,11 +236,38 @@ def main(argv=None) -> int:
         px.NoQualifyingCycleError,
         tc.RingMismatchError,
     ) as exc:
-        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 2)
+        code, error = 2, f"{type(exc).__name__}: {exc}"
     except (tc.OutOfScaleError, MemoryError) as exc:
-        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 3)
+        code, error = 3, f"{type(exc).__name__}: {exc}"
     except (AssertionError, px.ClassificationViolationError) as exc:
-        return _fail(args, t0, f"{type(exc).__name__}: {exc}", 4)
+        code, error = 4, f"{type(exc).__name__}: {exc}"
+    if error is None:
+        code = 0 if passed else 1
+        report = {
+            "command": args.verb,
+            "arguments": {
+                k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out")
+            },
+            "inputs": inputs,
+            "results": results,
+            "status": "pass" if passed else "violation",
+        }
+    else:
+        report = {"command": args.verb, "error": error, "status": "error"}
+        print(f"error: {error}", file=sys.stderr)
+    report["wall_time_ms"] = int((time.perf_counter() - t0) * 1000)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = args.out or "stdout"
+        print(f"error: cannot write the report to {target}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

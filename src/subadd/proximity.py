@@ -385,11 +385,10 @@ def paired_sequences(
     """
     for z in (f_a, f_b):
         if not z.is_integral():
-            raise NonIntegralError("paired sequences need integral cycles")
+            raise NonIntegralError("ideal cycles must be integral")
         if not model.is_anti_nef(z):
-            raise NotAntiNefError("paired sequences need anti-nef cycles")
+            raise NotAntiNefError("subadditivity checks need anti-nef cycles")
     prox = proximity_data(model)
-    lam = lambda_set(model, prox)
     names = model.blowup_names
 
     dc_a = d_coordinates(model, f_a)
@@ -398,8 +397,8 @@ def paired_sequences(
     b0 = tuple(int(v) for v in dc_b.d)
 
     c_trace = computation_sequence(model, f_a + f_b, prox=prox)
-    a = _initial_step(a0, lam)
-    b = _initial_step(b0, lam)
+    a = _initial_step(a0, c_trace.lam)
+    b = _initial_step(b0, c_trace.lam)
     a_steps = [a]
     b_steps = [b]
     for j in c_trace.chosen:
@@ -495,31 +494,27 @@ def subadditivity_check_2d(
     A warning is emitted on non-log-terminal models, where the verdict
     can be negative.
     """
-    for z in (f_a, f_b):
-        if not z.is_integral():
-            raise NonIntegralError("ideal cycles must be integral")
-        if not model.is_anti_nef(z):
-            raise NotAntiNefError("subadditivity checks need anti-nef cycles")
     if not model.is_log_terminal():
         warnings.warn(
             "model is not log terminal; subadditivity can fail", stacklevel=2
         )
+    # paired_sequences validates f_a and f_b before it looks for Lambda,
+    # so a NoLambdaError means both inputs passed
+    try:
+        paired = paired_sequences(model, f_a, f_b)
+    except NoLambdaError:
+        paired = None
     ceil_k = model.relative_canonical.ceil()
     cycle_a = model.anti_nef_closure(f_a - ceil_k)
     cycle_b = model.anti_nef_closure(f_b - ceil_k)
     cycle_ab = model.anti_nef_closure(f_a + f_b - ceil_k)
 
-    try:
-        paired = paired_sequences(model, f_a, f_b)
-    except NoLambdaError:
-        pass
-    else:
-        if (
-            paired.final_a != cycle_a
-            or paired.final_b != cycle_b
-            or paired.final_c != cycle_ab
-        ):
-            raise AssertionError("sequence closures disagree with oracle; internal bug")
+    if paired is not None and (
+        paired.final_a != cycle_a
+        or paired.final_b != cycle_b
+        or paired.final_c != cycle_ab
+    ):
+        raise AssertionError("sequence closures disagree with oracle; internal bug")
 
     total = cycle_a + cycle_b
     verdict = total.leq(cycle_ab)

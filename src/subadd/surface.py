@@ -303,17 +303,9 @@ class ResolutionModel:
             raise NotNegativeDefiniteError(
                 "exceptional intersection block is not negative definite"
             )
-        self._K = self._adjunction_canonical()
         self._stage_canonicals: dict[int, Cycle] = {}
+        self._K = self.stage_relative_canonical(self.n_blowups)
         self._blowup_pullbacks: tuple[Cycle, ...] | None = None
-
-    def _adjunction_canonical(self) -> Cycle:
-        exc = list(self.exceptional)
-        if not exc:
-            return Cycle()
-        m = self.intersection_matrix(curves=exc)
-        rhs = [-self.inter[e][e] - 2 for e in exc]
-        return Cycle(dict(zip(exc, solve_linear(m, rhs))))
 
     # -- simple accessors -----------------------------------------------
 

@@ -941,6 +941,12 @@ def explore_question33(config: ExploreConfig) -> ExplorationReport:
     holds at most 2*10^6 lattice points, exhaustively against every
     decomposition, independently of the generator search.
     """
+    if config.rank < 1:
+        raise InvalidParametersError("explore needs rank >= 1")
+    if not 1 <= config.modulus_min <= config.modulus_max:
+        raise InvalidParametersError("explore needs 1 <= modulus_min <= modulus_max")
+    if config.trials < 0:
+        raise InvalidParametersError("explore needs trials >= 0")
     if (config.ideal_a or config.ideal_b) and config.ring is None:
         raise InvalidParametersError("pinned ideals need a pinned ring")
     notes = [_GORENSTEIN_NOTE]

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -316,6 +318,108 @@ def test_explore_verb(capsys):
     assert code in (0, 1)
     assert report["results"]["trials_run"] == 3
     assert report["results"]["seed"] == 11
+
+
+_CHECK2D = ["check2d", "--model", str(DATA / "a1_model.json"),
+            "--ideal-a", str(DATA / "fa.json"), "--ideal-b", str(DATA / "fa.json")]
+_CHECKMONO = ["checkmono", "--ring", str(DATA / "q41_ring.json"),
+              "--ideal-a", str(DATA / "q41_ideal.json"), "--ideal-b", str(DATA / "q41_ideal.json")]
+
+
+# (command line, index of the path replaced by the bad file, its bytes;
+# None passes the directory itself)
+@pytest.mark.parametrize(
+    "argv, slot, content",
+    [
+        pytest.param(_CHECK2D, 4, b'{"E1": "2", "F": "1"}\xff', id="not utf-8"),
+        pytest.param(_CHECK2D, 4, None, id="directory"),
+        pytest.param(_CHECK2D, 4, b'{"E1": "1/0"}', id="zero denominator"),
+        pytest.param(_CHECK2D, 4, b"[" * 100_000, id="nested too deeply"),
+        pytest.param(_CHECK2D, 2, b"[]", id="model is a list"),
+        pytest.param(_CHECK2D, 4, b"[]", id="cycle is a list"),
+        pytest.param(_CHECKMONO, 2, b"[]", id="ring is a list"),
+        pytest.param(_CHECKMONO, 4, b"[]", id="ideal is a list"),
+    ],
+)
+def test_bad_input_file_is_input_error(tmp_path, capsys, argv, slot, content):
+    bad = tmp_path
+    if content is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+    argv = argv[:slot] + [str(bad)] + argv[slot + 1:]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["error"].startswith(str(bad))
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--modulus-min", "5", "--modulus-max", "2"],
+        ["--modulus-min", "0"],
+        ["--rank", "0"],
+        ["--trials", "-1"],
+    ],
+    ids=["modulus-min above modulus-max", "modulus-min 0", "rank 0", "trials -1"],
+)
+def test_explore_out_of_range_is_input_error(capsys, argv):
+    code, report = run(capsys, "explore", "--trials", "3", *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"].startswith("InvalidParametersError: explore needs")
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["reproduce", "2.6.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write the report to {out}")
+    assert not out.parent.exists()
+
+
+def test_input_digests_are_sha256_of_file_bytes(capsys):
+    files = [DATA / "q41_ring.json", DATA / "q41_ideal.json"]
+    _, report = run(
+        capsys,
+        "checkmono",
+        "--ring", str(files[0]),
+        "--ideal-a", str(files[1]),
+        "--ideal-b", str(files[1]),
+    )
+    assert report["inputs"] == {
+        str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest() for p in files
+    }
+
+
+def test_check2d_opens_each_input_once(tmp_path, capsys, monkeypatch):
+    fb = tmp_path / "fb.json"
+    fb.write_bytes((DATA / "fa.json").read_bytes())
+    paths = [str(DATA / "a1_model.json"), str(DATA / "fa.json"), str(fb)]
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _ = run(capsys, "check2d", "--model", paths[0], "--ideal-a", paths[1],
+                  "--ideal-b", paths[2])
+    assert code == 0
+    assert [p for p in opened if p in paths] == paths
+
+
+def test_successive_calls_do_not_leak_arguments(capsys):
+    run(capsys, "explore", "--trials", "3")
+    _, report = run(capsys, "explore")
+    assert report["arguments"]["trials"] == 100
+    assert report["results"]["trials_run"] + report["results"]["trials_skipped"] == 100
 
 
 @pytest.mark.parametrize("case_id", case_ids())

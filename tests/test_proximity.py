@@ -9,6 +9,7 @@ from subadd.surface import (
     MARKED,
     Cycle,
     NotAntiNefError,
+    ResolutionModel,
     ade,
     build_model,
     hj_chain,
@@ -275,6 +276,29 @@ class TestSubadditivityCertificate:
             cert = px.subadditivity_check_2d(cusp, Cycle(), Cycle())
         assert not cert.verdict
         assert cert.witness is not None
+
+    def test_one_lambda_and_one_validation_per_check(self, chain_3215, monkeypatch):
+        f_a = Cycle({"F1": 2, "F2": 2, "E1": 4, "E2": 6})
+        f_b = Cycle({"F1": 1, "F2": 1, "E1": 2, "E2": 3})
+        lambdas, validated = [], []
+        real_lambda_set = px.lambda_set
+        real_is_anti_nef = ResolutionModel.is_anti_nef
+
+        def lambda_set(*args):
+            lambdas.append(args)
+            return real_lambda_set(*args)
+
+        def is_anti_nef(model, z):
+            validated.append(z)
+            return real_is_anti_nef(model, z)
+
+        monkeypatch.setattr(px, "lambda_set", lambda_set)
+        monkeypatch.setattr(ResolutionModel, "is_anti_nef", is_anti_nef)
+        cert = px.subadditivity_check_2d(chain_3215, f_a, f_b)
+        assert cert.verdict
+        assert len(lambdas) == 1
+        assert sum(z is f_a for z in validated) == 1
+        assert sum(z is f_b for z in validated) == 1
 
     def test_randomized_always_holds_on_catalogs(self):
         rng = random.Random(508)
