@@ -8,7 +8,8 @@ unreadable, undecodable or wrongly shaped input file, an invalid
 parameter, or an unwritable --out, which leaves no report), 3 when
 the input is beyond desk scale (a typed out-of-scale error or an
 exhausted memory allocation), 4 on an internal error (a failed
-internal consistency check or a classification violation).
+internal consistency check, a classification violation or any other
+exception).
 """
 
 from __future__ import annotations
@@ -239,7 +240,9 @@ def main(argv=None) -> int:
         code, error = 2, f"{type(exc).__name__}: {exc}"
     except (tc.OutOfScaleError, MemoryError) as exc:
         code, error = 3, f"{type(exc).__name__}: {exc}"
-    except (AssertionError, px.ClassificationViolationError) as exc:
+    except Exception as exc:
+        # failed consistency checks, classification violations and every
+        # other unmapped exception are faults of the program, not verdicts
         code, error = 4, f"{type(exc).__name__}: {exc}"
     if error is None:
         code = 0 if passed else 1

@@ -25,7 +25,6 @@ pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -654,16 +653,3 @@ def ade(label: str) -> ResolutionModel:
         edges.append(("E3", "E0"))
     curves = [(name, -2, EXCEPTIONAL) for name in names]
     return build_model(curves, edges)
-
-
-# -- file formats ----------------------------------------------------------
-
-
-def load_model(path: str) -> ResolutionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ResolutionModel.from_json_dict(json.load(fh))
-
-
-def load_cycle(path: str) -> Cycle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Cycle.from_json_dict(json.load(fh))

@@ -2,11 +2,14 @@
 
 Rings are cut out of the ambient lattice by congruences: the toric ring
 of M = {v : w.v = 0 mod r for each congruence} intersected with the
-nonnegative orthant. Monomial ideals are finite exponent-vector sets,
-Newton polyhedra carry exact integer facet data, and membership in a
-multiplier ideal is the interior-point test: the monomial with exponent
-v lies in the multiplier ideal of I at exponent c exactly when v + 1
-(the all-ones shift) is interior to c times the Newton polyhedron of I.
+nonnegative orthant. One Hermite basis of M per ring, in Python
+integers, gives the index, the coordinate steps and the coset of the
+last coordinate over a prefix, so extra congruences cost nothing.
+Monomial ideals are finite exponent-vector sets, Newton polyhedra carry
+exact integer facet data, and membership in a multiplier ideal is the
+interior-point test: the monomial with exponent v lies in the multiplier
+ideal of I at exponent c exactly when v + 1 (the all-ones shift) is
+interior to c times the Newton polyhedron of I.
 
 Facets come from one vectorised int64 enumeration for every rank: each
 rank-sized set of generators and coordinate rays gives a normal as the
@@ -23,8 +26,8 @@ an adaptive box [0, bound]^n, starting from a bound of c * (largest
 generator coordinate) plus the lattice index plus the rank. Membership
 is upward-closed, so over each prefix x' = (x_1..x_{n-1}) only the
 lowest member of the column can be minimal. One pass builds the grid
-of prefixes in [0, bound]^(n-1), gives each prefix the lattice coset
-of its last coordinate, raises a per-prefix lower bound facet by facet
+of prefixes in [0, bound]^(n-1), gives each prefix the coset of its
+last coordinate, raises a per-prefix lower bound facet by facet
 (facets with a_n = 0 only filter prefixes), and takes Z[x'], the least
 coset value at or above that bound. The lowest member of a column is
 minimal unless some minimal nonzero semigroup step h has
@@ -39,8 +42,7 @@ Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
 no floating point is used anywhere. The numpy arrays are int64, after
 a proof that every intermediate value fits; inputs past the grid cap,
-the facet-work cap or that proof raise ``OutOfScaleError``.
-"""
+the facet-work cap or that proof raise ``OutOfScaleError``."""
 
 from __future__ import annotations
 
@@ -122,27 +124,48 @@ class ToricRing:
         return all(x >= 0 for x in v) and self.contains(v)
 
     @cached_property
+    def hermite_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Upper-triangular basis of M: row i starts at column i with a
+        positive pivot d_i, and every entry above a pivot lies in [0, pivot).
+        Integer row echelon form of the rows [w_1[i] .. w_c[i] | e_i],
+        [r_j e_j | 0] and [0 | L e_i], L the lcm of the moduli, congruence
+        columns first: the rows after the congruence pivots span the
+        vectors with zero congruence part, which are (0 | M), and the
+        L rows keep every pivot at most L (Cohen, GTM 138, 2.4)."""
+        c, n = len(self.congruences), self.rank
+        if (c + n) ** 3 > _CELL_CAP:
+            raise OutOfScaleError(f"Hermite basis of {c + n} columns; out of desk scale")
+        mods = [r for _, r in self.congruences]
+        eye = [[int(i == j) for j in range(c + n)] for i in range(c + n)]
+        rows = [[w[i] for w, _ in self.congruences] + eye[c + i][c:] for i in range(n)]
+        rows += [[m * x for x in row] for m, row in zip(mods + [lcm(*mods)] * n, eye)]
+        pivots = []
+        for col in range(c + n):
+            live = [row for row in rows if row[col]]
+            rows = [row for row in rows if not row[col]]
+            while len(live) > 1:
+                low = min(live, key=lambda row: abs(row[col]))
+                live.remove(low)
+                live = [[x - row[col] // low[col] * y for x, y in zip(row, low)] for row in live]
+                rows += [row for row in live if not row[col]]
+                live = [low] + [row for row in live if row[col]]
+            pivots.append([x if live[0][col] > 0 else -x for x in live[0]])
+        basis = [row[c:] for row in pivots[c:]]
+        for i, j in itertools.combinations(range(n), 2):
+            q = basis[i][j] // basis[j][j]
+            basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+        return tuple(map(tuple, basis))
+
+    @cached_property
     def index(self) -> int:
-        """Index of M in Z^rank (order of the generated residue group)."""
-        return _residue_group_order(self, range(self.rank))
+        """Index of M in Z^rank: the product of the Hermite pivots."""
+        return math.prod(row[i] for i, row in enumerate(self.hermite_basis))
 
     @cached_property
     def coordinate_steps(self) -> tuple[int, ...]:
-        """Per axis, the positive generator of the lattice's coordinate
-        projection: the smallest t > 0 some lattice vector has as its
-        i-th coordinate.
-
-        That is the least t with t times the axis's residue in the
-        subgroup H generated by the other axes, so it is the index of H
-        in the whole residue group. The interior-point criterion for
-        multiplier ideals shifts by the vector of these steps; this
-        package implements the criterion only where every step is 1,
-        which holds in particular for every Gorenstein cyclic quotient.
-        """
-        return tuple(
-            self.index // _residue_group_order(self, [j for j in range(self.rank) if j != i])
-            for i in range(self.rank)
-        )
+        """Per axis, the least t > 0 that is the i-th coordinate of a
+        lattice vector: the gcd of the basis column."""
+        return tuple(gcd(*(row[i] for row in self.hermite_basis)) for i in range(self.rank))
 
     @cached_property
     def minimal_steps(self) -> tuple[tuple[int, ...], ...]:
@@ -154,9 +177,10 @@ class ToricRing:
         is complete. An irreducible is the lowest semigroup point of its
         column, so the candidates are the lowest coset point over each
         prefix in [0, index]^(rank-1), and (0,..,0,step) over the zero
-        prefix.
-        """
+        prefix; that grid must stay under the cell cap."""
         m = self.rank - 1
+        if (self.index + 1) ** m > _CELL_CAP:
+            raise OutOfScaleError(f"steps of a lattice of index {self.index}; out of desk scale")
         z0, step = _lattice_coset(self, np.indices((self.index + 1,) * m, dtype=np.int64))
         solvable = z0 >= 0
         lowest = np.column_stack([np.argwhere(solvable), z0[solvable]])
@@ -227,54 +251,30 @@ def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
     return [tuple(map(int, r)) for r in buf[:count]]
 
 
-def _residue_group_order(ring: ToricRing, axes: Iterable[int]) -> int:
-    """Order of the subgroup of the residue group (the product of the
-    Z/r over the congruences) generated by the unit vectors on ``axes``.
-
-    Each axis's residue g extends the subgroup H so far by the cosets
-    H + k*g up to the first one that meets what is already collected,
-    which happens at the least k > 0 with k*g in H.
-    """
-    mods = [r for _, r in ring.congruences]
-    group = {(0,) * len(mods)}
-    for i in axes:
-        g = [w[i] for w, _ in ring.congruences]
-        grown, coset = set(group), group
-        while True:
-            coset = {tuple((x + y) % r for x, y, r in zip(h, g, mods)) for h in coset}
-            if next(iter(coset)) in grown:
-                break
-            grown |= coset
-        group = grown
-    return len(group)
-
-
 def _lattice_coset(ring: ToricRing, grid: np.ndarray) -> tuple[np.ndarray, int]:
     """Last coordinates of the lattice over each prefix x' of ``grid``
-    (an ``np.indices`` array): the coset z0 + step*Z.
-
-    step is the order of the last unit vector in the residue group; z0
-    lies in [0, step), or is -1 where no lattice point lies over x'. A
-    table maps each residue tuple of the congruences to the z0
-    cancelling it, so any number of congruences costs one lookup.
-    """
-    step = 1
-    for w, r in ring.congruences:
-        step = lcm(step, r // gcd(w[-1], r))
-    size = math.prod(r for _, r in ring.congruences)
-    if size > _CELL_CAP:
-        raise OutOfScaleError(f"residue table of {size} entries; out of desk scale")
-    z = np.arange(step, dtype=np.int64)
-    z_keys = np.zeros(step, dtype=np.int64)
-    prefix_keys = np.zeros(grid.shape[1:], dtype=np.int64)
-    radix = 1
-    for w, r in ring.congruences:
-        z_keys += (-w[-1] * z) % r * radix
-        prefix_keys += np.tensordot(np.array(w[:-1], dtype=np.int64), grid, 1) % r * radix
-        radix *= r
-    table = np.full(size, -1, dtype=np.int64)
-    table[z_keys] = z
-    return table[prefix_keys], step
+    (an ``np.indices`` array): the coset z0 + step*Z, z0 = -1 where no
+    lattice point lies over x'. A triangular solve in the Hermite basis:
+    x' is a lattice prefix when every k_i = (x_i - sum over l < i of
+    k_l b_l[i]) / d_i is an integer, and then z0 = (sum of k_i b_i[n-1])
+    mod step, step = d_{n-1}. Entries above a pivot are below it, so
+    |k_i| <= 2^i side and every value is below 2^(n-1) side times the
+    largest basis entry, which must fit in int64."""
+    basis = ring.hermite_basis
+    side = max(grid.shape[1:], default=1)
+    if 2 ** (ring.rank - 1) * side * max(map(max, basis)) >= 2**62:
+        raise OutOfScaleError("lattice coset values exceed 64-bit range; out of desk scale")
+    rest = list(grid) + [np.zeros(grid.shape[1:], dtype=np.int64)]
+    solvable = np.ones(grid.shape[1:], dtype=bool)
+    for i, row in enumerate(basis[:-1]):
+        k = rest[i]
+        if row[i] != 1:
+            solvable &= k % row[i] == 0
+            k = k // row[i]
+        for j in range(i + 1, ring.rank):
+            if row[j]:
+                rest[j] = rest[j] - k * row[j]
+    return np.where(solvable, -rest[-1] % basis[-1][-1], -1), basis[-1][-1]
 
 
 # -- Newton polyhedra -------------------------------------------------------

@@ -259,6 +259,27 @@ def test_classification_violation_exits_4(capsys, monkeypatch):
     assert report["error"] == "ClassificationViolationError: not in the catalog"
 
 
+def test_unmapped_exception_exits_4(capsys, monkeypatch):
+    def stray(ideal, c):
+        raise ValueError("stray value")
+
+    monkeypatch.setattr("subadd.toric.multiplier_monomials", stray)
+    code = main(
+        [
+            "multiplier",
+            "--ring", str(DATA / "q41_ring.json"),
+            "--ideal", str(DATA / "q41_ideal.json"),
+            "-c", "1/2",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 4
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["error"] == "ValueError: stray value"
+    assert "Traceback" not in captured.err
+
+
 def test_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,32 @@ class TestToricRing:
                 steps = tuple(min(v[i] for v in inside if v[i]) for i in range(rank))
                 assert ring.coordinate_steps == steps, ring
 
+    @pytest.mark.parametrize(
+        "congs, index",
+        [
+            ([((1, 1, 1), 10**21)], 10**21),
+            ([((1, 2, 3), 4000), ((3, 1, 1), 3001)], 12_004_000),
+        ],
+        ids=["modulus-1e21", "two-congruences"],
+    )
+    def test_index_and_coordinate_steps_of_large_rings_are_fast(self, congs, index):
+        t0 = time.perf_counter()
+        ring = tc.ToricRing(3, congs)
+        assert (ring.index, ring.coordinate_steps) == (index, (1, 1, 1))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_hermite_basis_refuses_past_desk_scale(self):
+        with pytest.raises(tc.OutOfScaleError):
+            tc.ToricRing(250).coordinate_steps
+
+    def test_minimal_steps_refuses_before_allocating(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("prefix grid allocated")
+
+        monkeypatch.setattr(tc.np, "indices", no_grid)
+        with pytest.raises(tc.OutOfScaleError):
+            tc.ToricRing(3, [((1, 1, 1), 10**4)]).minimal_steps
+
     def test_json_roundtrip(self, q41_ring):
         assert tc.ToricRing.from_json_dict(q41_ring.to_json_dict()) == q41_ring
 
@@ -113,6 +140,11 @@ class TestLatticeCoset:
                         (z for z in range(period) if ring.contains(prefix + (z,))), -1
                     )
                     assert z0[prefix] == lowest, (ring, prefix)
+
+    def test_int64_guard(self):
+        ring = tc.ToricRing(1, [((1,), 10**21)])
+        with pytest.raises(tc.OutOfScaleError, match="64-bit"):
+            tc._lattice_coset(ring, np.indices((), dtype=np.int64))
 
 
 class TestMonomialIdeal:
@@ -402,6 +434,17 @@ class TestMultiplier:
         brute = brute_multiplier_members(ring, ideal.generators, c, bound)
         assert mine == dominance_minimal(brute)
         assert mine != {(0,) * ring.rank}
+
+    def test_redundant_congruences_give_the_same_generators(self):
+        # (2,209,0) and (3,208,0) are 2 and 3 times (1,210,0) mod 211
+        gens = [(5, 5, 0), (0, 0, 4), (211, 0, 0), (2, 2, 1)]
+        one = tc.ToricRing(3, [((1, 210, 0), 211)])
+        three = tc.ToricRing(3, [((1, 210, 0), 211), ((2, 209, 0), 211), ((3, 208, 0), 211)])
+        j_one, j_three = (
+            tc.multiplier_monomials(tc.MonomialIdeal(r, gens), Fraction(3, 2)) for r in (one, three)
+        )
+        assert j_one.generators == j_three.generators
+        assert len(j_one.generators) == 5
 
     def test_cell_cap_raises_out_of_scale(self, monkeypatch):
         monkeypatch.setattr(tc, "_CELL_CAP", 100)
