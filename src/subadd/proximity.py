@@ -260,6 +260,25 @@ def _apply_step(d: Sequence[int], j: int, prox: ProximityData) -> tuple[int, ...
     return tuple(out)
 
 
+def _raise_negative_rows(
+    d: tuple[int, ...], prox: ProximityData, choose: Callable[[list[int]], int] | None = None
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Step from ``d`` until no P-row is negative, each time raising
+    the first negative index (or the one ``choose`` picks): the vectors
+    after ``d`` and the chosen indices."""
+    steps: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+    for _ in range(_SEQUENCE_STEP_CAP):
+        negative = [j for j, v in enumerate(_pd_rows(prox.matrix, d)) if v < 0]
+        if not negative:
+            return steps, chosen
+        j = negative[0] if choose is None else choose(negative)
+        d = _apply_step(d, j, prox)
+        steps.append(d)
+        chosen.append(j)
+    raise AssertionError("computation sequence did not terminate; internal bug")
+
+
 def computation_sequence(
     model: ResolutionModel,
     z: Cycle,
@@ -281,25 +300,12 @@ def computation_sequence(
     if prox is None:
         prox = proximity_data(model)
     lam = lambda_set(model, prox)
-    names = model.blowup_names
     dc = d_coordinates(model, z)
     d0 = tuple(int(v) for v in dc.d)
-
     d = _initial_step(d0, lam)
-    steps = [d]
-    chosen: list[int] = []
-    for _ in range(_SEQUENCE_STEP_CAP):
-        negative = [j for j, v in enumerate(_pd_rows(prox.matrix, d)) if v < 0]
-        if not negative:
-            break
-        j = negative[0] if choose is None else choose(negative)
-        d = _apply_step(d, j, prox)
-        steps.append(d)
-        chosen.append(j)
-    else:
-        raise AssertionError("computation sequence did not terminate; internal bug")
-
-    final = from_d_coordinates(model, DCoordinates(dc.base, tuple(Fraction(v) for v in d)))
+    more, chosen = _raise_negative_rows(d, prox, choose)
+    steps = [d, *more]
+    final = from_d_coordinates(model, DCoordinates(dc.base, tuple(map(Fraction, steps[-1]))))
     return ComputationTrace(
         model=model,
         start=z,
@@ -354,19 +360,6 @@ def _classify_triple(a0: int, b0: int, a: int, b: int, c: int) -> str:
     )
 
 
-def _extend_track(
-    d: tuple[int, ...], prox: ProximityData
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    steps = []
-    for _ in range(_SEQUENCE_STEP_CAP):
-        negative = [j for j, v in enumerate(_pd_rows(prox.matrix, d)) if v < 0]
-        if not negative:
-            return steps, d
-        d = _apply_step(d, negative[0], prox)
-        steps.append(d)
-    raise AssertionError("track extension did not terminate; internal bug")
-
-
 def paired_sequences(
     model: ResolutionModel, f_a: Cycle, f_b: Cycle
 ) -> PairedSequences:
@@ -417,10 +410,9 @@ def paired_sequences(
         for i in range(len(names))
     ]
 
-    a_ext, a_final = _extend_track(a, prox)
-    b_ext, b_final = _extend_track(b, prox)
-    a_steps += a_ext
-    b_steps += b_ext
+    a_steps += _raise_negative_rows(a, prox)[0]
+    b_steps += _raise_negative_rows(b, prox)[0]
+    a_final, b_final = a_steps[-1], b_steps[-1]
 
     cyc_a = from_d_coordinates(model, DCoordinates(dc_a.base, tuple(map(Fraction, a_final))))
     cyc_b = from_d_coordinates(model, DCoordinates(dc_b.base, tuple(map(Fraction, b_final))))

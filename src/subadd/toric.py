@@ -29,14 +29,16 @@ lowest member of the column can be minimal. One pass builds the grid
 of prefixes in [0, bound]^(n-1), gives each prefix the coset of its
 last coordinate, raises a per-prefix lower bound facet by facet
 (facets with a_n = 0 only filter prefixes), and takes Z[x'], the least
-coset value at or above that bound. The lowest member of a column is
-minimal unless some minimal nonzero semigroup step h has
-Z[x'] - h_n >= Z[x' - h'], one shifted-slice comparison per step;
-correctness rests on upward closure: a member below v forces a member
-at distance one step below v. If no member was seen, or a survivor
-touches the box boundary, the bound doubles and the pass repeats.
-Certificates reuse the prefix grid: a generator of J(ab) lies outside
-J(a) J(b) when it is below the staircase of the pairwise sums.
+coset value at or above that bound. Points of M differ by a semigroup
+element exactly when they compare componentwise, so a column minimum
+is minimal exactly when it lies below the staircase of the columns
+under it: Z[x'] < P[x' - e_i] on every axis with x'_i >= 1, where
+P[y'] is the least Z at or below y', one running minimum per axis. If
+no member was seen, or a survivor touches the box boundary, the bound
+doubles and the pass repeats. The same staircase yields the
+irreducibles of the semigroup and the certificates: a generator of
+J(ab) lies outside J(a) J(b) when it is below the staircase of the
+pairwise sums.
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
@@ -171,22 +173,22 @@ class ToricRing:
     def minimal_steps(self) -> tuple[tuple[int, ...], ...]:
         """Minimal nonzero semigroup elements (the irreducibles).
 
-        Any nonzero semigroup element dominates one of these, with the
-        difference back in the semigroup; every irreducible coordinate
-        is at most the lattice index, so the search box [0, index]^rank
-        is complete. An irreducible is the lowest semigroup point of its
-        column, so the candidates are the lowest coset point over each
-        prefix in [0, index]^(rank-1), and (0,..,0,step) over the zero
-        prefix; that grid must stay under the cell cap."""
+        Every irreducible coordinate is at most the lattice index, so
+        the search box [0, index]^rank is complete. An irreducible is the
+        lowest nonzero semigroup point of its column: the lowest coset
+        point over each prefix in [0, index]^(rank-1), and step over the
+        zero prefix. The irreducibles are the prefixes kept by the
+        staircase, with a sentinel above every value where no lattice
+        point lies; that grid must stay under the cell cap."""
         m = self.rank - 1
         if (self.index + 1) ** m > _CELL_CAP:
             raise OutOfScaleError(f"steps of a lattice of index {self.index}; out of desk scale")
         z0, step = _lattice_coset(self, np.indices((self.index + 1,) * m, dtype=np.int64))
-        solvable = z0 >= 0
-        lowest = np.column_stack([np.argwhere(solvable), z0[solvable]])
-        pts = [p for p in map(tuple, lowest.tolist()) if any(p)]
-        pts.append((0,) * m + (step,))
-        return tuple(_dominance_minimal(pts))
+        col = np.where(z0 >= 0, z0, step + 1)
+        col[(0,) * m] = step
+        keep = _staircase(col)[1]
+        pts = np.column_stack([np.argwhere(keep), col[keep]])
+        return tuple(sorted(map(tuple, pts.tolist()), key=lambda p: (sum(p), p)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,6 +251,23 @@ def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
         buf[count] = row
         count += 1
     return [tuple(map(int, r)) for r in buf[:count]]
+
+
+def _staircase(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The staircase of a prefix grid of column values: P[x'] = min of
+    col[y'] over y' <= x', one running minimum per axis, and the mask
+    of the x' with col[x'] < P[x' - e_i] on every axis i with x'_i >= 1.
+    These are exactly the x' whose value lies below col[y'] for every
+    other y' <= x'; a 0-d grid (rank 1) keeps its one cell."""
+    low = col.copy()
+    for axis in range(col.ndim):
+        np.minimum.accumulate(low, axis=axis, out=low)
+    keep = np.ones(col.shape, dtype=bool)
+    for axis in range(col.ndim):
+        up = (slice(None),) * axis + (slice(1, None),)
+        down = (slice(None),) * axis + (slice(None, -1),)
+        keep[up] &= col[up] < low[down]
+    return low, keep
 
 
 def _lattice_coset(ring: ToricRing, grid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -557,15 +576,7 @@ def _box_minimal_impl(
         # Z[x']: the least coset value at or above the bound; side marks
         # a column with no member in the box
         col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)
-
-        minimal = col <= bound
-        for h in ring.minimal_steps:
-            hp = h[:-1]
-            if not any(hp) or max(hp) > bound:
-                continue
-            above = tuple(slice(x, None) for x in hp)
-            below = tuple(slice(0, side - x) for x in hp)
-            minimal[above] &= col[above] - h[-1] < col[below]
+        minimal = (col <= bound) & _staircase(col)[1]
         cand = np.column_stack([np.argwhere(minimal), col[minimal]])
 
         if not len(cand) or bool((cand == bound).any()):
@@ -683,9 +694,7 @@ class MonomialCertificate:
         }
 
 
-def _members_mask_box(
-    ring: ToricRing, box: np.ndarray, poly: NewtonPolyhedron, c: Fraction
-) -> np.ndarray:
+def _members_mask_box(box: np.ndarray, poly: NewtonPolyhedron, c: Fraction) -> np.ndarray:
     """Multiplier-ideal membership of every row of ``box`` (rows must
     lie in the lattice): the all-ones shift, strict on every facet."""
     p, q = c.numerator, c.denominator
@@ -715,11 +724,11 @@ def _witness_has_no_decomposition(
     for wts, r in ring.congruences:
         keep &= (pts @ np.array(wts, dtype=np.int64)) % r == 0
     pts = pts[keep]
-    in_a = _members_mask_box(ring, pts, a.newton_polyhedron(), ca)
+    in_a = _members_mask_box(pts, a.newton_polyhedron(), ca)
     if not in_a.any():
         return True
     rest = np.array(w, dtype=np.int64) - pts[in_a]
-    in_b = _members_mask_box(ring, rest, b.newton_polyhedron(), cb)
+    in_b = _members_mask_box(rest, b.newton_polyhedron(), cb)
     return not in_b.any()
 
 
@@ -731,8 +740,8 @@ def _certify(
     """Test each generator g of ``j_product`` = J(mixed^c_mixed) against
     J(a^ca) J(b^cb), generated by the pairwise sums s (all in M). The
     staircase P[x'] = min of s_n over s' <= x' comes from scattering the
-    sums into the prefix grid of ``j_product`` and a running minimum
-    along each axis; g fails exactly when g_n < P[g']."""
+    sums into the prefix grid of ``j_product`` and ``_staircase``; g
+    fails exactly when g_n < P[g']."""
     ga = np.array(j_a.generators, dtype=np.int64)
     gb = np.array(j_b.generators, dtype=np.int64)
     if len(ga) * len(gb) > _CELL_CAP:
@@ -746,16 +755,14 @@ def _certify(
     low = np.full((1, *side.tolist()), np.iinfo(np.int64).max, dtype=np.int64)
     inside = sums[(sums[:, :-1] < side).all(axis=1)]
     np.minimum.at(low, (np.zeros(len(inside), dtype=np.int64), *inside[:, :-1].T), inside[:, -1])
-    for axis in range(1, low.ndim):
-        np.minimum.accumulate(low, axis=axis, out=low)
-    lowest = low[(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
+    lowest = _staircase(low)[0][(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
     failures = [g for g, f in zip(j_product.generators, gens[:, -1] < lowest) if f]
     witness = failures[0] if failures else None
     exhaustive_recheck = False
     if witness is not None:
         w = np.array([witness], dtype=np.int64)
         if (sums <= w).all(axis=1).any() or not _members_mask_box(
-            a.ring, w, mixed.newton_polyhedron(), c_mixed
+            w, mixed.newton_polyhedron(), c_mixed
         )[0]:
             raise AssertionError("witness failed re-verification; internal bug")
         exhaustive_recheck = math.prod(x + 1 for x in witness) <= _WITNESS_SCAN_CAP

@@ -254,6 +254,50 @@ class TestPairedSequences:
             done += 1
 
 
+class TestSteppingProcess:
+    """A pinned model whose d-process takes steps on every track."""
+
+    @pytest.fixture
+    def stepping(self):
+        model = build_model(
+            [("E1", -3, "exceptional")],
+            [],
+            [
+                ("B1", ["E1"]),
+                ("B2", ["E1", "B1"]),
+                ("B3", ["B1", "B2"]),
+                ("B4", ["E1", "B2"]),
+                ("B5", ["B2"]),
+                ("B6", ["B2"]),
+            ],
+        )
+        f_a = Cycle({"B1": 2, "B2": 4, "B3": 6, "B4": 6, "B5": 4, "B6": 4, "E1": 1})
+        f_b = Cycle({"B1": 6, "B2": 8, "B3": 14, "B4": 10, "B5": 8, "B6": 8, "E1": 2})
+        return model, f_a, f_b
+
+    def test_computation_sequence_steps(self, stepping):
+        model, f_a, _ = stepping
+        tr = px.computation_sequence(model, f_a)
+        assert tr.chosen == [1, 0]
+        assert tr.d_steps == [(0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)]
+
+    def test_paired_sequences_extend_the_a_track(self, stepping):
+        pp = px.paired_sequences(*stepping)
+        assert pp.k_c == 1
+        assert len(pp.a_steps) == 1 + pp.k_c + 1
+        assert len(pp.b_steps) == 1 + pp.k_c
+        assert pp.final_a_d == pp.a_steps[-1] == (1, 0, 0, 0, 0, 0)
+        assert pp.inequality_holds
+
+    def test_check_passes_the_laufer_cross_check(self, stepping):
+        model, f_a, f_b = stepping
+        cert = px.subadditivity_check_2d(model, f_a, f_b)
+        pp = px.paired_sequences(model, f_a, f_b)
+        assert (cert.cycle_a, cert.cycle_b, cert.cycle_ab) == (pp.final_a, pp.final_b, pp.final_c)
+        assert cert.verdict
+        assert cert.strict_at == ("B2", "B3", "B4", "B5", "B6")
+
+
 class TestSubadditivityCertificate:
     def test_blown_cone(self, a1_blown):
         f_a = Cycle({"E1": 2, "F": 1})

@@ -147,6 +147,24 @@ class TestLatticeCoset:
             tc._lattice_coset(ring, np.indices((), dtype=np.int64))
 
 
+class TestStaircase:
+    @pytest.mark.parametrize("ndim", range(4))
+    def test_mask_matches_dominance_oracle(self, ndim):
+        # values in [0, 4] tie often; 5 marks a prefix with no member
+        rng = np.random.default_rng(811 + ndim)
+        for _ in range(40):
+            shape = tuple(int(x) for x in rng.integers(1, 6, size=ndim))
+            col = np.asarray(rng.integers(0, 5, size=shape), dtype=np.int64)
+            col[np.asarray(rng.random(shape) < 0.2)] = 5
+            low, keep = tc._staircase(col)
+            cells = list(itertools.product(*map(range, shape)))
+            below = {x: [y for y in cells if all(a <= b for a, b in zip(y, x))] for x in cells}
+            assert all(low[x] == min(col[y] for y in below[x]) for x in cells)
+            pts = [(*x, int(col[x])) for x in cells if col[x] < 5]
+            kept = {(*x, int(col[x])) for x in cells if keep[x] and col[x] < 5}
+            assert kept == dominance_minimal(pts), col
+
+
 class TestMonomialIdeal:
     def test_minimalization(self):
         ring = tc.ToricRing(2)
@@ -353,6 +371,33 @@ class TestMultiplier:
         ideal = tc.MonomialIdeal(ring, [(3,)])
         assert tc.multiplier_monomials(ideal, 1).generators == ((3,),)
         assert tc.multiplier_monomials(ideal, Fraction(1, 3)).generators == ((1,),)
+
+    def test_engine_does_not_read_minimal_steps(self, monkeypatch, q41_ring):
+        cases = [
+            (q41_ring, [(41, 0, 0), (0, 41, 0), (0, 0, 41), (8, 1, 1), (4, 6, 1)]),
+            (tc.cyclic_quotient_ring(5, (1, 2, 3, 4)), [(5, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 0)]),
+            (tc.ToricRing(3, [((1, 1, 0), 2), ((0, 1, 2), 3)]), [(4, 0, 0), (1, 1, 1), (0, 2, 2)]),
+            (tc.ToricRing(1), [(3,)]),
+        ]
+        ideals = [tc.MonomialIdeal(ring, gens) for ring, gens in cases]
+        exponents = (Fraction(1, 3), 1, Fraction(5, 2))
+
+        def outputs():
+            tc._box_minimal_impl.cache_clear()
+            return [
+                [tc.multiplier_monomials(i, c).generators for c in exponents]
+                + [tc.integral_closure_monomial(i).generators]
+                for i in ideals
+            ]
+
+        expected = outputs()
+
+        def refuse(ring):
+            raise AssertionError("the engine read minimal_steps")
+
+        monkeypatch.setattr(tc.ToricRing, "minimal_steps", property(refuse))
+        assert outputs() == expected
+        tc._box_minimal_impl.cache_clear()
 
     def test_q41_contains_witness(self, q41_ideal):
         j2 = tc.multiplier_monomials(q41_ideal, 2)
