@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -91,7 +92,7 @@ def _cmd_multiplier(args, inputs: dict) -> tuple[dict, bool]:
         parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
         ideal = _load(args.ideal, "ideal", parse_ideal, inputs)
         out = tc.multiplier_monomials(ideal, c)
-        return {"multiplier_generators": [list(g) for g in out.generators]}, True
+        return {"multiplier_generators": list(map(list, out.generators))}, True
     raise ParseError("multiplier needs either --model or --ring")
 
 
@@ -216,6 +217,52 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _row_lists(value, found: set[int]) -> set[int]:
+    """Add to ``found`` the ids of the integer-row lists in a JSON value:
+    nonempty lists of lists whose entries are all ints (generator sets,
+    matrices)."""
+    if type(value) is list:
+        if set(map(type, value)) == {list} and set(
+            map(type, itertools.chain.from_iterable(value))
+        ) == {int}:
+            found.add(id(value))
+            return found
+    else:
+        value = value.values()
+    for v in value:
+        if type(v) in (dict, list):
+            _row_lists(v, found)
+    return found
+
+
+def _dumps(value, rows: set[int], pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, except that each
+    list in ``rows`` puts one row per line. The C encoder writes those
+    lists whole; their entries are ints, so "], [" occurs only between
+    rows."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = sorted(value.items())
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_dumps(v, rows, inner)}"
+                              for k, v in items) + pad + "}"
+    if isinstance(value, list) and value:
+        if id(value) in rows:
+            text = json.dumps(value, check_circular=False)[1:-1]
+            return "[" + inner + text.replace("], [", "]," + inner + "[") + pad + "]"
+        return "[" + ",".join(inner + _dumps(v, rows, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
+def _report_text(report: dict) -> str:
+    """The report as indented JSON with sorted keys. Integer-row lists
+    put one row per line; a report without one is exactly
+    ``json.dumps(report, indent=2, sort_keys=True)``."""
+    rows = _row_lists(report.get("results", {}), set())
+    if not rows:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return _dumps(report, rows) + "\n"
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
@@ -259,7 +306,7 @@ def main(argv=None) -> int:
         report = {"command": args.verb, "error": error, "status": "error"}
         print(f"error: {error}", file=sys.stderr)
     report["wall_time_ms"] = int((time.perf_counter() - t0) * 1000)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _report_text(report)
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -22,23 +22,24 @@ build their product-side ideal from the vertex sums p u + q w, never
 by expanding the powers and the product.
 
 The engine behind minimal generators is a column-minimum search over
-an adaptive box [0, bound]^n, starting from a bound of c * (largest
-generator coordinate) plus the lattice index plus the rank. Membership
-is upward-closed, so over each prefix x' = (x_1..x_{n-1}) only the
-lowest member of the column can be minimal. One pass builds the grid
-of prefixes in [0, bound]^(n-1), gives each prefix the coset of its
-last coordinate, raises a per-prefix lower bound facet by facet
-(facets with a_n = 0 only filter prefixes), and takes Z[x'], the least
-coset value at or above that bound. Points of M differ by a semigroup
-element exactly when they compare componentwise, so a column minimum
-is minimal exactly when it lies below the staircase of the columns
-under it: Z[x'] < P[x' - e_i] on every axis with x'_i >= 1, where
-P[y'] is the least Z at or below y', one running minimum per axis. If
-no member was seen, or a survivor touches the box boundary, the bound
-doubles and the pass repeats. The same staircase yields the
-irreducibles of the semigroup and the certificates: a generator of
-J(ab) lies outside J(a) J(b) when it is below the staircase of the
-pairwise sums.
+the box [0, bound]^n, with bound = ceil(c M) + index + rank, M the
+largest generator coordinate. Membership is upward-closed, so over
+each prefix x' = (x_1..x_{n-1}) only the lowest member of the column
+can be minimal. One pass builds the grid of prefixes in
+[0, bound]^(n-1), gives each prefix the coset of its last coordinate,
+raises a per-prefix lower bound facet by facet (a broadcast sum of one
+vector per axis; facets with a_n = 0 only filter prefixes), and takes
+Z[x'], the least coset value at or above that bound. Points of M
+differ by a semigroup element exactly when they compare componentwise,
+so a column minimum is minimal exactly when it lies below the
+staircase of the columns under it: Z[x'] < P[x' - e_i] on every axis
+with x'_i >= 1, where P[y'] is the least Z at or below y', one running
+minimum per axis. One pass suffices: index e_i lies in M, so a member
+v with v_i > c M + index - 1 stays a member after lowering v_i by the
+index, and every minimal generator lies strictly inside the box. The
+same staircase yields the irreducibles of the semigroup and the
+certificates: a generator of J(ab) lies outside J(a) J(b) when it is
+below the staircase of the pairwise sums.
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
@@ -53,7 +54,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, cached_property
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -188,7 +189,7 @@ class ToricRing:
         col[(0,) * m] = step
         keep = _staircase(col)[1]
         pts = np.column_stack([np.argwhere(keep), col[keep]])
-        return tuple(sorted(map(tuple, pts.tolist()), key=lambda p: (sum(p), p)))
+        return tuple(map(tuple, _sorted_rows(pts).tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,6 +269,31 @@ def _staircase(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         down = (slice(None),) * axis + (slice(None, -1),)
         keep[up] &= col[up] < low[down]
     return low, keep
+
+
+def _lattice_mask(ring: ToricRing, pts: np.ndarray) -> np.ndarray:
+    """Lattice membership of every row of an integer array, read from
+    the congruences, not from the Hermite basis. Each congruence (w, r)
+    is first divided by gcd(w, r); then v -> w.v mod r maps Z^rank onto
+    Z/r with M in its kernel, so r is at most the index. The products
+    are taken in int64 when rank * (largest entry) * r fits and in
+    Python integers otherwise. Engine rows of rank 2 or more always fit:
+    their entries and the index lie below the side of the box, which
+    the cell cap keeps under 8 * 10^6."""
+    mask = np.ones(len(pts), dtype=bool)
+    big = max(int(pts.max(initial=1)), -int(pts.min(initial=0)))
+    for w, r in ring.congruences:
+        g = gcd(*w, r)
+        w, r = [x // g for x in w], r // g
+        kind = np.int64 if ring.rank * big * r < 2**63 else object
+        mask &= (pts.astype(kind, copy=False) @ np.array(w, dtype=kind)) % r == 0
+    return mask
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d integer array in (sum, coordinates) order, the
+    order of every generator tuple."""
+    return rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1)))]
 
 
 def _lattice_coset(ring: ToricRing, grid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -441,12 +467,7 @@ class MonomialIdeal:
     lie in M, this is plain componentwise dominance.
     """
 
-    def __init__(
-        self,
-        ring: ToricRing,
-        generators: Iterable[Sequence[int]],
-        _minimal: bool = False,
-    ):
+    def __init__(self, ring: ToricRing, generators: Iterable[Sequence[int]]):
         gens = [tuple(int(x) for x in g) for g in generators]
         if not gens:
             raise InvalidParametersError("a monomial ideal needs at least one generator")
@@ -457,13 +478,29 @@ class MonomialIdeal:
                 raise InvalidParametersError(
                     f"generator {g} is not in the semigroup"
                 )
-        if not _minimal:
-            gens = _dominance_minimal(gens)
         self.ring = ring
         self.generators: tuple[tuple[int, ...], ...] = tuple(
-            sorted(gens, key=lambda g: (sum(g), g))
+            sorted(_dominance_minimal(gens), key=lambda g: (sum(g), g))
         )
         self._newton: NewtonPolyhedron | None = None
+
+    @classmethod
+    def _from_engine(cls, ring: ToricRing, rows: np.ndarray) -> "MonomialIdeal":
+        """The ideal of the engine's rows, already minimal and sorted.
+        They are re-checked in one array pass against the ring's
+        congruences, not the Hermite basis the engine solved in; a row
+        that fails is a fault of the program, not of the input."""
+        if rows.ndim != 2 or rows.shape[1] != ring.rank or not len(rows):
+            raise AssertionError(f"engine rows of shape {rows.shape}; internal bug")
+        bad = (rows < 0).any(axis=1) | ~_lattice_mask(ring, rows)
+        if bad.any():
+            row = tuple(rows[bad.argmax()].tolist())
+            raise AssertionError(f"engine row {row} is not in the semigroup; internal bug")
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal.generators = tuple(map(tuple, rows.tolist()))
+        ideal._newton = None
+        return ideal
 
     @classmethod
     def unit(cls, ring: ToricRing) -> "MonomialIdeal":
@@ -546,43 +583,54 @@ def _box_minimal_impl(
     strict: bool,
     shift: int,
     start_bound: int,
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
+    """Minimal members of the box [0, start_bound]^n as a read-only int64
+    array, rows in (sum, coordinates) order. The caller's bound must
+    exceed every coordinate of a minimal generator (the module
+    docstring's proof); a box without members, or a generator on its
+    boundary, means that proof failed and raises AssertionError."""
     m = ring.rank - 1
     row_mass = max((sum(map(abs, a)) for a in normals), default=0)
     top = max((abs(t) for t in thresholds), default=0)
     bound = max(start_bound, 1)
-    while True:
-        side = bound + 1
-        if side**m > _CELL_CAP:
-            raise OutOfScaleError(
-                f"prefix grid of {side}^{m} cells passes the cap; out of desk scale"
-            )
-        if q * row_mass * (side + shift) + top >= 2**61:
-            raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
-        grid = np.indices((side,) * m, dtype=np.int64)
-        z0, step = _lattice_coset(ring, grid)
-        ok = z0 >= 0
-        low = np.zeros(z0.shape, dtype=np.int64)
-        for a, t in zip(normals, thresholds):
-            prefix = np.tensordot(np.array(a[:-1], dtype=np.int64), grid, 1)
-            val = q * (prefix + shift * sum(a[:-1]))
-            if a[-1]:
-                # least z with q<a, (x', z + shift)> > t (or >= t)
-                d = q * a[-1]
-                need = (t - val) // d + 1 if strict else -((val - t) // d)
-                np.maximum(low, need - shift, out=low)
-            else:
-                ok &= val > t if strict else val >= t
-        # Z[x']: the least coset value at or above the bound; side marks
-        # a column with no member in the box
-        col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)
-        minimal = (col <= bound) & _staircase(col)[1]
-        cand = np.column_stack([np.argwhere(minimal), col[minimal]])
-
-        if not len(cand) or bool((cand == bound).any()):
-            bound *= 2
-            continue
-        return tuple(sorted(map(tuple, cand.tolist()), key=lambda g: (sum(g), g)))
+    side = bound + 1
+    if side**m > _CELL_CAP:
+        raise OutOfScaleError(
+            f"prefix grid of {side}^{m} cells passes the cap; out of desk scale"
+        )
+    # every |K - q<a', x'>| below is at most q * row_mass * (side + shift) + top
+    if q * row_mass * (side + shift) + top >= 2**61:
+        raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
+    z0, step = _lattice_coset(ring, np.indices((side,) * m, dtype=np.int64))
+    ok = z0 >= 0
+    low = np.zeros(z0.shape, dtype=np.int64)
+    for a, t in zip(normals, thresholds):
+        # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z
+        # is (K - q<a', x'>) // d, and with d = 0 the prefix passes when
+        # K - q<a', x'> < 0; K folds in t, the shift and the strictness
+        d = q * a[-1]
+        k = t - q * shift * sum(a) + d - (not strict)
+        num = reduce(
+            np.add.outer,
+            [-q * ai * np.arange(side, dtype=np.int64) for ai in a[:-1]],
+            np.array(k, dtype=np.int64),
+        )
+        if d:
+            np.maximum(low, np.floor_divide(num, d, out=num), out=low)
+        else:
+            ok &= num < 0
+    # Z[x']: the least coset value at or above the bound; side marks a
+    # column with no member in the box
+    col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)
+    minimal = (col <= bound) & _staircase(col)[1]
+    rows = np.column_stack([np.argwhere(minimal), col[minimal]])
+    if not len(rows) or bool((rows == bound).any()):
+        raise AssertionError(
+            f"engine box of bound {bound} is too small for its generators; internal bug"
+        )
+    rows = _sorted_rows(rows)
+    rows.flags.writeable = False
+    return rows
 
 
 def _box_minimal_generators(
@@ -592,7 +640,7 @@ def _box_minimal_generators(
     strict: bool,
     shift: int,
     start_bound: int,
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
     """Minimal generators of the upward-closed membership set.
 
     Membership of v: v in the semigroup and, for every facet (a, b),
@@ -630,7 +678,7 @@ def multiplier_monomials(ideal: MonomialIdeal, c) -> MonomialIdeal:
     poly = ideal.newton_polyhedron()
     start = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank
     gens = _box_minimal_generators(ring, poly.facets, c, True, 1, start)
-    return MonomialIdeal(ring, gens, _minimal=True)
+    return MonomialIdeal._from_engine(ring, gens)
 
 
 def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -646,7 +694,7 @@ def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
     poly = ideal.newton_polyhedron()
     start = ideal.max_coordinate + ring.index + ring.rank
     gens = _box_minimal_generators(ring, poly.facets, Fraction(1), False, 0, start)
-    out = MonomialIdeal(ring, gens, _minimal=True)
+    out = MonomialIdeal._from_engine(ring, gens)
     for g in ideal.generators:
         if not out.membership(g):
             raise AssertionError("closure lost an original generator; internal bug")
@@ -720,10 +768,7 @@ def _witness_has_no_decomposition(
         *[np.arange(x + 1, dtype=np.int64) for x in w], indexing="ij"
     )
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    keep = np.ones(len(pts), dtype=bool)
-    for wts, r in ring.congruences:
-        keep &= (pts @ np.array(wts, dtype=np.int64)) % r == 0
-    pts = pts[keep]
+    pts = pts[_lattice_mask(ring, pts)]
     in_a = _members_mask_box(pts, a.newton_polyhedron(), ca)
     if not in_a.any():
         return True

@@ -31,3 +31,26 @@ def q41_ideal(q41_ring) -> tc.MonomialIdeal:
         q41_ring,
         [(410, 0, 0), (0, 410, 0), (0, 0, 410), (8, 1, 1), (4, 6, 1), (4, 1, 8)],
     )
+
+
+@pytest.fixture
+def break_engine(monkeypatch):
+    """Patch the engine (uncached) to corrupt its first row on the q41
+    ring: "shifted" adds e_1, which leaves the lattice; "negative"
+    subtracts a multiple of 41 e_1, which stays in the lattice but goes
+    below zero."""
+
+    def apply(fault: str) -> None:
+        honest = tc._box_minimal_impl.__wrapped__
+
+        def engine(*args):
+            rows = honest(*args).copy()
+            if fault == "shifted":
+                rows[0, 0] += 1
+            else:
+                rows[0, 0] -= 41 * (rows[0, 0] // 41 + 1)
+            return rows
+
+        monkeypatch.setattr(tc, "_box_minimal_impl", engine)
+
+    return apply

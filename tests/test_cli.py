@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from subadd import cli
 from subadd import proximity as px
 from subadd.cli import main
 from subadd.reproduce import UnknownExampleError, case_ids, run_case
@@ -243,6 +244,21 @@ def test_false_violation_exits_4(tmp_path, capsys, monkeypatch):
     assert report["error"] == "AssertionError: witness failed re-verification; internal bug"
 
 
+@pytest.mark.parametrize("fault", ["shifted", "negative"])
+def test_engine_fault_exits_4(capsys, break_engine, fault):
+    break_engine(fault)
+    code, report = run(
+        capsys,
+        "multiplier",
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal", str(DATA / "q41_ideal.json"),
+        "-c", "1",
+    )
+    assert code == 4
+    assert report["error"].startswith("AssertionError: engine row")
+    assert report["error"].endswith("is not in the semigroup; internal bug")
+
+
 def test_classification_violation_exits_4(capsys, monkeypatch):
     def violated(*args):
         raise px.ClassificationViolationError("not in the catalog")
@@ -460,3 +476,48 @@ def test_reproduce_parameter_variants():
 def test_unknown_case_rejected():
     with pytest.raises(UnknownExampleError):
         run_case("9.9")
+
+
+_Q41 = ["--ring", str(DATA / "q41_ring.json")]
+_Q41_PAIR = _Q41 + ["--ideal-a", str(DATA / "q41_ideal.json"),
+                    "--ideal-b", str(DATA / "q41_ideal.json")]
+
+
+# (command line, whether the report holds a list of integer rows)
+@pytest.mark.parametrize(
+    "argv, has_rows",
+    [(["reproduce", case], case in ("2.6.2", "3.2")) for case in case_ids()]
+    + [
+        (_CHECK2D, False),
+        (["multiplier", "--model", str(DATA / "a1_model.json"),
+          "--ideal", str(DATA / "fa.json"), "-c", "2"], False),
+        (["multiplier", *_Q41, "--ideal", str(DATA / "q41_ideal.json"), "-c", "1/2"], True),
+        (_CHECKMONO, True),
+        (["strongmono", *_Q41_PAIR, "-c", "1", "-d", "1"], True),
+        (["explore", *_Q41_PAIR, "--trials", "1", "--no-gorenstein-filter"], True),
+        (["explore", "--trials", "2", "--seed", "11", "--max-coordinate", "10"], False),
+    ],
+    ids=[f"reproduce-{case}" for case in case_ids()]
+    + ["check2d", "multiplier-model", "multiplier-ring", "checkmono", "strongmono",
+       "explore-violation", "explore-pass"],
+)
+def test_report_text(tmp_path, monkeypatch, argv, has_rows):
+    built, write = [], cli._report_text
+
+    def spy(report):
+        built.append(report)
+        return write(report)
+
+    monkeypatch.setattr(cli, "_report_text", spy)
+    out = tmp_path / "report.json"
+    main(argv + ["--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    old = json.dumps(built[0], indent=2, sort_keys=True) + "\n"
+    assert json.loads(text) == json.loads(old)
+    # the writer lays out everything but the rows as json.dumps does
+    assert cli._dumps(built[0], set()) + "\n" == old
+    assert (text != old) == has_rows
+    if argv[0] == "multiplier" and has_rows:
+        gens = built[0]["results"]["multiplier_generators"]
+        rows = ",\n".join("      " + json.dumps(g) for g in gens)
+        assert f'    "multiplier_generators": [\n{rows}\n    ]' in text

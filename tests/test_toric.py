@@ -165,6 +165,17 @@ class TestStaircase:
             assert kept == dominance_minimal(pts), col
 
 
+class TestSortedRows:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_key_sort(self, rank):
+        # entries in [-2, 3] give many equal sums and repeated rows
+        rng = np.random.default_rng(905 + rank)
+        for count in (0, 1, 7, 300):
+            rows = np.asarray(rng.integers(-2, 4, size=(count, rank)), dtype=np.int64)
+            expected = sorted(map(tuple, rows.tolist()), key=lambda g: (sum(g), g))
+            assert list(map(tuple, tc._sorted_rows(rows).tolist())) == expected
+
+
 class TestMonomialIdeal:
     def test_minimalization(self):
         ring = tc.ToricRing(2)
@@ -490,6 +501,47 @@ class TestMultiplier:
         )
         assert j_one.generators == j_three.generators
         assert len(j_one.generators) == 5
+
+    def test_huge_modulus_presentation_answers(self):
+        # 2*10^20 (v_1 + v_2 + v_3) = 0 mod 4*10^20 cuts out the lattice of
+        # v_1 + v_2 + v_3 = 0 mod 2; neither int64 nor the weights as given
+        # holds the products, so the re-checks must reduce them first
+        huge = tc.ToricRing(3, [((2 * 10**20,) * 3, 4 * 10**20)])
+        small = tc.ToricRing(3, [((1, 1, 1), 2)])
+        gens = [(2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 2), (3, 1, 2)]
+        for c in (Fraction(1, 2), 1, Fraction(5, 2)):
+            j_huge, j_small = (
+                tc.multiplier_monomials(tc.MonomialIdeal(r, gens), c) for r in (huge, small)
+            )
+            assert j_huge.generators == j_small.generators
+        a, b = [(1, 2, 1), (2, 2, 0)], [(0, 5, 3), (6, 3, 3)]
+        cert_huge, cert_small = (
+            tc.subadditivity_check_monomial(tc.MonomialIdeal(r, a), tc.MonomialIdeal(r, b))
+            for r in (huge, small)
+        )
+        assert cert_huge.witness == (1, 6, 3) and cert_huge.exhaustive_recheck
+        assert cert_huge.to_json_dict() == cert_small.to_json_dict()
+        # no cell cap bounds a rank-1 box: (3^24 + 1) 3^25 passes int64
+        # even after the reduction
+        wide = tc.ToricRing(1, [((3**24 + 1,), 3**25)])
+        closure = tc.integral_closure_monomial(tc.MonomialIdeal(wide, [(3**25,)]))
+        assert closure.generators == ((3**25,),)
+
+    @pytest.mark.parametrize("fault", ["shifted", "negative"])
+    def test_engine_fault_is_an_internal_error(self, break_engine, q41_ideal, fault):
+        break_engine(fault)
+        with pytest.raises(AssertionError, match="not in the semigroup; internal bug"):
+            tc.multiplier_monomials(q41_ideal, 1)
+
+    def test_engine_box_below_the_proof_raises(self, q41_ideal):
+        # at c = 1 the proof's bound is 410 + 41 + 3; J has generators
+        # with a coordinate above 100, so a box of side 101 cuts them
+        facets = [(a, b) for a, b in q41_ideal.newton_polyhedron().facets if b > 0]
+        normals, offsets = zip(*facets)
+        args = (q41_ideal.ring, normals, offsets, 1, True, 1)
+        assert int(tc._box_minimal_impl(*args, 454).max()) > 100
+        with pytest.raises(AssertionError, match="too small for its generators"):
+            tc._box_minimal_impl(*args, 100)
 
     def test_cell_cap_raises_out_of_scale(self, monkeypatch):
         monkeypatch.setattr(tc, "_CELL_CAP", 100)
