@@ -13,8 +13,12 @@ interior to c times the Newton polyhedron of I.
 
 Facets come from one vectorised int64 enumeration for every rank: each
 rank-sized set of generators and coordinate rays gives a normal as the
-signed maximal minors of its direction rows, reduced by its gcd and
-deduplicated in the array, then kept when no generator lies below it;
+signed maximal minors of its direction rows, all read from one Leibniz
+gather of signed minors (a per-rank table of column permutations and
+their signs), reduced by its gcd and deduplicated in a sorted set, then
+kept when no generator lies below it. With big the largest generator
+entry, every minor is at most (rank-1)! big^(rank-1) and every offset
+and validation dot at most rank! big^rank, which must stay under 2^62;
 vertices are read off the generator-by-facet incidence matrix.
 A multiplier ideal depends only on the Newton polyhedron, and
 Newt(a^p b^q) = p Newt(a) + q Newt(b), so the subadditivity checks
@@ -28,8 +32,8 @@ each prefix x' = (x_1..x_{n-1}) only the lowest member of the column
 can be minimal. One pass builds the grid of prefixes in
 [0, bound]^(n-1), gives each prefix the coset of its last coordinate,
 raises a per-prefix lower bound facet by facet (a broadcast sum of one
-vector per axis; facets with a_n = 0 only filter prefixes), and takes
-Z[x'], the least coset value at or above that bound. Points of M
+row per axis, the rows of a block of facets built at once; facets with
+a_n = 0 only filter prefixes), and takes Z[x'], the least coset value at or above that bound. Points of M
 differ by a semigroup element exactly when they compare componentwise,
 so a column minimum is minimal exactly when it lies below the
 staircase of the columns under it: Z[x'] < P[x' - e_i] on every axis
@@ -37,15 +41,15 @@ with x'_i >= 1, where P[y'] is the least Z at or below y', one running
 minimum per axis. One pass suffices: index e_i lies in M, so a member
 v with v_i > c M + index - 1 stays a member after lowering v_i by the
 index, and every minimal generator lies strictly inside the box. The
-same staircase yields the irreducibles of the semigroup and the
-certificates: a generator of J(ab) lies outside J(a) J(b) when it is
-below the staircase of the pairwise sums.
+same staircase yields the certificates: a generator of J(ab) lies
+outside J(a) J(b) when it is below the staircase of the pairwise sums.
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
 no floating point is used anywhere. The numpy arrays are int64, after
 a proof that every intermediate value fits; inputs past the grid cap,
-the facet-work cap or that proof raise ``OutOfScaleError``."""
+the facet-work cap, the facet block or that proof raise
+``OutOfScaleError``."""
 
 from __future__ import annotations
 
@@ -169,27 +173,6 @@ class ToricRing:
         """Per axis, the least t > 0 that is the i-th coordinate of a
         lattice vector: the gcd of the basis column."""
         return tuple(gcd(*(row[i] for row in self.hermite_basis)) for i in range(self.rank))
-
-    @cached_property
-    def minimal_steps(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal nonzero semigroup elements (the irreducibles).
-
-        Every irreducible coordinate is at most the lattice index, so
-        the search box [0, index]^rank is complete. An irreducible is the
-        lowest nonzero semigroup point of its column: the lowest coset
-        point over each prefix in [0, index]^(rank-1), and step over the
-        zero prefix. The irreducibles are the prefixes kept by the
-        staircase, with a sentinel above every value where no lattice
-        point lies; that grid must stay under the cell cap."""
-        m = self.rank - 1
-        if (self.index + 1) ** m > _CELL_CAP:
-            raise OutOfScaleError(f"steps of a lattice of index {self.index}; out of desk scale")
-        z0, step = _lattice_coset(self, np.indices((self.index + 1,) * m, dtype=np.int64))
-        col = np.where(z0 >= 0, z0, step + 1)
-        col[(0,) * m] = step
-        keep = _staircase(col)[1]
-        pts = np.column_stack([np.argwhere(keep), col[keep]])
-        return tuple(map(tuple, _sorted_rows(pts).tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -358,24 +341,22 @@ def in_interior(poly: NewtonPolyhedron, v: Sequence, c=1) -> bool:
     return poly.contains(v, c, strict=True)
 
 
-def _batch_det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of k x k integer matrices, by cofactor
-    expansion along the first row; exact while the caller's bound on
-    the entries holds."""
-    k = m.shape[-1]
-    if k == 0:
-        return np.ones(len(m), dtype=np.int64)
-    if k == 1:
-        return m[:, 0, 0].copy()
-    out = np.zeros(len(m), dtype=np.int64)
-    for j in range(k):
-        term = m[:, 0, j] * _batch_det(m[:, 1:, _others(k, j)])
-        out += -term if j % 2 else term
-    return out
-
-
-def _others(k: int, j: int) -> list[int]:
-    return [i for i in range(k) if i != j]
+@lru_cache(maxsize=None)
+def _leibniz_table(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Leibniz expansion of the rank signed maximal minors of a
+    (rank-1) x rank matrix D: minor i is the sum over the permutations
+    s of range(rank-1) of sign * prod over r of D[r, cols[i, s, r]],
+    where cols[i, s] sends row r to the s(r)-th column other than i and
+    sign is (-1)^i times the sign of s. Shapes (rank, (rank-1)!, rank-1)
+    and (rank, (rank-1)!); both arrays are read-only."""
+    k = rank - 1
+    perms = list(itertools.permutations(range(k)))
+    inversions = [sum(p[a] > p[b] for a, b in itertools.combinations(range(k), 2)) for p in perms]
+    others = np.array([[j for j in range(rank) if j != i] for i in range(rank)], dtype=np.int64)
+    cols = others[:, np.array(perms, dtype=np.int64)]
+    signs = (-1) ** (np.arange(rank)[:, None] + np.array(inversions, dtype=np.int64))
+    cols.flags.writeable = signs.flags.writeable = False
+    return cols, signs
 
 
 @lru_cache(maxsize=4096)
@@ -388,51 +369,54 @@ def _newton_facets(
     least one generator gives a candidate: its first generator is the
     pivot, the others give direction rows (generators minus the pivot,
     rays as they are), and the normal is the vector of signed maximal
-    minors of those rows. Normals are oriented, kept when componentwise
-    nonnegative, divided by their gcd and deduplicated in the array; a
-    candidate is a facet when no generator lies below it, as its own
-    independent rows span the hyperplane. Work goes in blocks of
-    combinations, so memory stays bounded.
+    minors of those rows, all read from one Leibniz gather of the rows'
+    entries (``_leibniz_table``). Normals are kept when sign-definite
+    and nonzero, made nonnegative, divided by their gcd and
+    deduplicated in a sorted set; a candidate is a facet when no
+    generator lies below it, as its own independent rows span the
+    hyperplane. Products stay in int64: the largest entry big bounds
+    every minor by (rank-1)! big^(rank-1) and every offset and
+    validation dot by rank! big^rank, which must stay under 2^62. Work
+    goes in blocks of combinations whose gathers and validation rows
+    fit ``_FACET_BLOCK`` entries, so memory stays bounded.
     """
     count = len(gens)
     if math.comb(count + rank, rank) * count > _FACET_WORK_CAP:
         raise OutOfScaleError(f"facets of {count} generators; out of desk scale")
+    gather = rank * math.factorial(rank - 1) * (rank - 1)
+    if gather > _FACET_BLOCK:
+        raise OutOfScaleError(f"Leibniz minors of rank {rank}; out of desk scale")
     big = max(max(abs(x) for g in gens for x in g), 1)
-    # generators are nonnegative, so direction entries are at most big,
-    # the minors at most (rank-1)! big^(rank-1), and offsets and
-    # validation dots at most rank! big^rank
+    # generators are nonnegative, so direction entries are at most big
     if math.factorial(rank) * big**rank >= 2**62:
         raise OutOfScaleError("facet normals exceed 64-bit range; out of desk scale")
+    cols, signs = _leibniz_table(rank)
+    rows = np.arange(rank - 1)
     gens_arr = np.array(gens, dtype=np.int64)
     pts = np.vstack([gens_arr, np.eye(rank, dtype=np.int64)])
     is_gen = np.arange(len(pts)) < count
     combos = itertools.combinations(range(len(pts)), rank)
-    block = max(1, _FACET_BLOCK // (count + rank * rank))
-    found = []
+    block = max(1, _FACET_BLOCK // (count + rank * rank + gather))
+    found: set[tuple[int, ...]] = set()
     while True:
         chunk = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(combos, block)), dtype=np.int64
         ).reshape(-1, rank)
         if not len(chunk):
             break
-        chunk = chunk[is_gen[chunk[:, 0]]]
+        chunk = chunk[chunk[:, 0] < count]
         p0 = pts[chunk[:, 0]]
         rest = chunk[:, 1:]
         dirs = pts[rest] - is_gen[rest][:, :, None] * p0[:, None, :]
-        normals = np.stack(
-            [(-1) ** i * _batch_det(dirs[:, :, _others(rank, i)]) for i in range(rank)], axis=1
-        )
-        lead = normals[np.arange(len(normals)), (normals != 0).argmax(axis=1)]
-        normals *= np.sign(lead)[:, None]
-        keep = (lead != 0) & (normals >= 0).all(axis=1)
-        normals, p0 = normals[keep], p0[keep]
+        normals = (dirs[:, rows, cols].prod(axis=-1) * signs).sum(axis=-1)
+        # both tests hold only for the zero normal
+        keep = (normals >= 0).all(axis=1) ^ (normals <= 0).all(axis=1)
+        normals, p0 = np.abs(normals[keep]), p0[keep]
         normals //= np.gcd.reduce(normals, axis=1)[:, None]
         offsets = (normals * p0).sum(axis=1)
         ok = (normals @ gens_arr.T >= offsets[:, None]).all(axis=1)
-        found.append(np.column_stack([normals[ok], offsets[ok]]))
-
-    cand = np.unique(np.concatenate(found), axis=0)
-    return tuple((tuple(row[:-1]), row[-1]) for row in cand.tolist())
+        found.update(map(tuple, np.column_stack([normals[ok], offsets[ok]]).tolist()))
+    return tuple((row[:-1], row[-1]) for row in sorted(found))
 
 
 def newton_polyhedron(ideal: "MonomialIdeal") -> NewtonPolyhedron:
@@ -604,21 +588,31 @@ def _box_minimal_impl(
     z0, step = _lattice_coset(ring, np.indices((side,) * m, dtype=np.int64))
     ok = z0 >= 0
     low = np.zeros(z0.shape, dtype=np.int64)
-    for a, t in zip(normals, thresholds):
-        # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z
-        # is (K - q<a', x'>) // d, and with d = 0 the prefix passes when
-        # K - q<a', x'> < 0; K folds in t, the shift and the strictness
-        d = q * a[-1]
-        k = t - q * shift * sum(a) + d - (not strict)
-        num = reduce(
-            np.add.outer,
-            [-q * ai * np.arange(side, dtype=np.int64) for ai in a[:-1]],
-            np.array(k, dtype=np.int64),
-        )
-        if d:
-            np.maximum(low, np.floor_divide(num, d, out=num), out=low)
+    # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
+    # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
+    # K - q<a', x'> < 0; K folds in t, the shift and the strictness
+    ds = [q * a[-1] for a in normals]
+    ks = [t - q * shift * sum(a) + d - (not strict) for a, t, d in zip(normals, thresholds, ds)]
+    # axis_rows[f, i] = -q a_i x_i over the side of axis i, with K folded
+    # into axis 0, built for a block of facets at a time: a block holds at
+    # most the cells of one grid (rank 1 has no axis and no row)
+    per = max(1, side ** (m - 1) // m if m else len(normals))
+    for lo in range(0, len(normals), per):
+        hi = lo + per
+        if m:
+            axis_rows = np.multiply.outer(
+                np.array([a[:-1] for a in normals[lo:hi]], dtype=np.int64) * -q,
+                np.arange(side, dtype=np.int64),
+            )
+            axis_rows[:, 0] += np.array(ks[lo:hi], dtype=np.int64)[:, None]
+            nums = (reduce(np.add.outer, r) for r in axis_rows)
         else:
-            ok &= num < 0
+            nums = (np.array(k, dtype=np.int64) for k in ks)
+        for num, d in zip(nums, ds[lo:hi]):
+            if d:
+                np.maximum(low, np.floor_divide(num, d, out=num), out=low)
+            else:
+                ok &= num < 0
     # Z[x']: the least coset value at or above the bound; side marks a
     # column with no member in the box
     col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)

@@ -4,7 +4,8 @@ Everything here recomputes library results by a different route: box
 enumeration for anti-nef closures and fundamental cycles, pure-Python
 cofactor expansion for Newton-polyhedron facets, integer ranks of
 tight normals for vertices, per-generator dominance tests for the
-failures of a subadditivity certificate, and exact Fourier-Motzkin
+failures of a subadditivity certificate, a column scan for the
+irreducibles of a toric semigroup, and exact Fourier-Motzkin
 feasibility for Newton-polyhedron membership, for membership in a
 Minkowski sum of two of them, and for product membership of
 subadditivity witnesses. Nothing imports the algorithms
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from subadd.surface import Cycle
 
@@ -300,6 +301,24 @@ def brute_multiplier_members(ring, gens, c, bound: int) -> set[tuple[int, ...]]:
         if in_polyhedron_fm(gens, shifted, Fraction(c), strict=True):
             out.add(v)
     return out
+
+
+def minimal_steps(ring, cap: int = 10**6) -> tuple[tuple[int, ...], ...]:
+    """Irreducibles of the ring's semigroup (its minimal nonzero
+    elements) in (sum, coordinates) order. L e_i lies in the lattice for
+    L the lcm of the moduli, so every irreducible coordinate is at most
+    L, and the lowest nonzero semigroup point of each column over the
+    prefixes in [0, L]^(rank-1) holds them all. More than ``cap``
+    columns raise ValueError before any scan."""
+    n, m = lcm(*(r for _, r in ring.congruences)), ring.rank - 1
+    if (n + 1) ** m > cap:
+        raise ValueError(f"{(n + 1) ** m} columns pass the scan cap")
+    lowest = []
+    for prefix in itertools.product(range(n + 1), repeat=m):
+        z = next((z for z in range(not any(prefix), n + 1) if ring.contains(prefix + (z,))), None)
+        if z is not None:
+            lowest.append(prefix + (z,))
+    return tuple(sorted(dominance_minimal(lowest), key=lambda p: (sum(p), p)))
 
 
 def dominance_minimal(points) -> set[tuple[int, ...]]:

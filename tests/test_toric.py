@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from _oracles import (
     generic_newton_facets,
     in_minkowski_interior_fm,
     in_polyhedron_fm,
+    minimal_steps,
     product_failures,
     rank_vertices,
 )
@@ -37,10 +39,10 @@ class TestToricRing:
 
     def test_minimal_steps_full_lattice(self):
         ring = tc.ToricRing(2)
-        assert set(ring.minimal_steps) == {(1, 0), (0, 1)}
+        assert set(minimal_steps(ring)) == {(1, 0), (0, 1)}
 
     def test_minimal_steps_are_irreducible(self, q41_ring):
-        steps = q41_ring.minimal_steps
+        steps = minimal_steps(q41_ring)
         assert all(q41_ring.semigroup_contains(s) for s in steps)
         assert dominance_minimal(steps) == set(steps)
         # no step dominates another
@@ -60,7 +62,7 @@ class TestToricRing:
     def test_minimal_steps_match_brute_scan(self, ring):
         box = itertools.product(range(ring.index + 1), repeat=ring.rank)
         brute = dominance_minimal(v for v in box if any(v) and ring.semigroup_contains(v))
-        assert set(ring.minimal_steps) == brute
+        assert set(minimal_steps(ring)) == brute
 
     def test_coordinate_steps(self, q41_ring):
         assert q41_ring.coordinate_steps == (1, 1, 1)
@@ -104,12 +106,13 @@ class TestToricRing:
             tc.ToricRing(250).coordinate_steps
 
     def test_minimal_steps_refuses_before_allocating(self, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("prefix grid allocated")
+        # 10^8 columns: the oracle refuses before testing any point
+        def no_scan(ring, v):
+            raise AssertionError("column scanned")
 
-        monkeypatch.setattr(tc.np, "indices", no_grid)
-        with pytest.raises(tc.OutOfScaleError):
-            tc.ToricRing(3, [((1, 1, 1), 10**4)]).minimal_steps
+        monkeypatch.setattr(tc.ToricRing, "contains", no_scan)
+        with pytest.raises(ValueError, match="scan cap"):
+            minimal_steps(tc.ToricRing(3, [((1, 1, 1), 10**4)]))
 
     def test_json_roundtrip(self, q41_ring):
         assert tc.ToricRing.from_json_dict(q41_ring.to_json_dict()) == q41_ring
@@ -279,6 +282,79 @@ class TestNewtonPolyhedron:
                 )
                 assert set(tc._newton_facets(rank, gens)) == generic_newton_facets(rank, gens)
 
+    @pytest.mark.parametrize("rank", [5, 6])
+    def test_matches_generic_oracle_at_ranks_5_and_6(self, rank):
+        # the Leibniz tables of these ranks against cofactor expansion
+        # in Python integers
+        rng = random.Random(612 + rank)
+        for _ in range(6):
+            gens = tuple(
+                sorted(
+                    {
+                        tuple(rng.randint(0, 6) for _ in range(rank))
+                        for _ in range(rng.randint(1, 7 - rank // 2))
+                    }
+                )
+            )
+            facets = tc._newton_facets(rank, gens)
+            assert set(facets) == generic_newton_facets(rank, gens), gens
+            assert list(facets) == sorted(facets)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ((0, 916015, 2), (3, 0, 916015), (495626, 804922, 550654), (916015, 2, 0)),
+            (
+                (0, 1, 20936, 0), (0, 2, 2, 20936), (0, 20936, 1, 1),
+                (10825, 14577, 11748, 15439), (20936, 1, 0, 3),
+            ),
+        ],
+        ids=["rank-3", "rank-4"],
+    )
+    def test_exact_just_under_the_int64_guard(self, gens):
+        # the largest entry is the largest big with rank! big^rank < 2^62;
+        # near-axis points and one inner point give primitive normals of
+        # about big^(rank-1) and offsets of about big^rank, past 2^57
+        rank, big = len(gens[0]), max(map(max, gens))
+        assert math.factorial(rank) * big**rank < 2**62 <= math.factorial(rank) * (big + 1) ** rank
+        facets = tc._newton_facets(rank, gens)
+        assert set(facets) == generic_newton_facets(rank, gens)
+        assert max(b for _, b in facets) > 2**57
+        with pytest.raises(tc.OutOfScaleError, match="64-bit"):
+            tc._newton_facets(rank, gens + ((big + 1,) * rank,))
+
+    def test_same_facets_across_many_blocks(self, monkeypatch):
+        # 100 entries hold one to four candidates at ranks 1 to 4 (a
+        # rank-4 candidate needs 72 gather entries alone); rank 5 needs
+        # 480 per candidate, past the block, and is refused
+        rng = random.Random(613)
+        cases = [
+            tuple(sorted({tuple(rng.randint(0, 7) for _ in range(rank)) for _ in range(5)}))
+            for rank in (1, 2, 3, 4)
+            for _ in range(4)
+        ]
+        expected = [tc._newton_facets.__wrapped__(len(g[0]), g) for g in cases]
+        monkeypatch.setattr(tc, "_FACET_BLOCK", 100)
+        assert [tc._newton_facets.__wrapped__(len(g[0]), g) for g in cases] == expected
+        with pytest.raises(tc.OutOfScaleError, match="Leibniz"):
+            tc._newton_facets.__wrapped__(5, ((1, 2, 3, 4, 5),))
+
+    def test_block_bounds_the_gather(self, monkeypatch):
+        # at rank 6 one candidate's gather holds 6 * 5! * 5 = 3600
+        # entries against 44 for its rows; a block that left the gather
+        # out of its budget would take 1489 candidates, 43 MB of gather
+        gens = ((0, 0, 1, 2, 3, 4), (1, 0, 4, 0, 2, 1), (2, 3, 0, 1, 0, 0), (3, 1, 1, 0, 1, 2),
+                (4, 4, 0, 0, 0, 1), (0, 2, 2, 2, 0, 0), (1, 1, 1, 1, 1, 0), (0, 5, 0, 3, 1, 1))
+        expected = tc._newton_facets.__wrapped__(6, gens)
+        monkeypatch.setattr(tc, "_FACET_BLOCK", 1 << 16)
+        tracemalloc.start()
+        try:
+            assert tc._newton_facets.__wrapped__(6, gens) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * (1 << 16), peak
+
     def test_vertices_match_rank_oracle(self):
         # incidence-matrix vertices against the integer rank of the
         # tight normals; scaled points leave room for generators on
@@ -406,7 +482,10 @@ class TestMultiplier:
         def refuse(ring):
             raise AssertionError("the engine read minimal_steps")
 
-        monkeypatch.setattr(tc.ToricRing, "minimal_steps", property(refuse))
+        # the irreducibles live in the test oracles only; an attribute of
+        # the old name that refuses shows that no engine path asks a ring
+        assert not hasattr(tc.ToricRing, "minimal_steps")
+        monkeypatch.setattr(tc.ToricRing, "minimal_steps", property(refuse), raising=False)
         assert outputs() == expected
         tc._box_minimal_impl.cache_clear()
 
@@ -543,6 +622,25 @@ class TestMultiplier:
         with pytest.raises(AssertionError, match="too small for its generators"):
             tc._box_minimal_impl(*args, 100)
 
+    def test_engine_facet_rows_stay_within_one_grid(self):
+        # at rank 2 a facet's row is as long as the grid: 40 facets built
+        # at once would hold 40 grids; a block holds one, and the pass
+        # peaks near nine (the coset, bounds, column values and staircase)
+        ideal = tc.MonomialIdeal(
+            tc.ToricRing(2), [(1000 * i, 25 * (40 - i) ** 2) for i in range(41)]
+        )
+        facets = [(a, b) for a, b in ideal.newton_polyhedron().facets if b > 0]
+        normals, offsets = zip(*facets)
+        start = ideal.max_coordinate + ideal.ring.index + ideal.ring.rank
+        tracemalloc.start()
+        try:
+            rows = tc._box_minimal_impl.__wrapped__(ideal.ring, normals, offsets, 1, True, 1, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(facets) == 40 and len(rows) > 10_000
+        assert peak < 12 * 8 * (start + 1), peak / (8 * (start + 1))
+
     def test_cell_cap_raises_out_of_scale(self, monkeypatch):
         monkeypatch.setattr(tc, "_CELL_CAP", 100)
         ideal = tc.MonomialIdeal(tc.ToricRing(3), [(43, 0, 0), (0, 43, 0), (0, 0, 43)])
@@ -553,7 +651,7 @@ class TestMultiplier:
         j1 = tc.multiplier_monomials(q41_ideal, 1)
         poly = q41_ideal.newton_polyhedron()
         rng = random.Random(604)
-        steps = q41_ring.minimal_steps
+        steps = minimal_steps(q41_ring)
         for g in j1.generators[:25]:
             s = rng.choice(steps)
             bumped = tuple(a + b for a, b in zip(g, s))
@@ -853,6 +951,33 @@ class TestExplorer:
         )
         rep = tc.explore_question33(cfg)
         assert rep.trials_run == 40 and not rep.violations
+
+    @pytest.mark.parametrize("gorenstein_only", [True, False], ids=["gorenstein", "all-rings"])
+    def test_rank_2_never_violates(self, gorenstein_only):
+        # every cyclic quotient surface singularity is log terminal, and
+        # the two-dimensional theorem holds there; without the filter the
+        # rings with a non-unit coordinate step are skipped
+        cfg = tc.ExploreConfig(rank=2, trials=300, seed=1, gorenstein_only=gorenstein_only)
+        rep = tc.explore_question33(cfg)
+        counts = (300, 0) if gorenstein_only else (158, 142)
+        assert (rep.trials_run, rep.trials_skipped) == counts
+        assert not rep.violations
+
+    def test_rank_4_violation_confirmed_by_fm(self):
+        rep = tc.explore_question33(tc.ExploreConfig(rank=4, trials=20, seed=1))
+        assert rep.trials_run == 20 and rep.violations
+        smallest = min(
+            rep.violations, key=lambda v: math.prod(x + 1 for x in v["certificate"]["witness"])
+        )
+        witness = smallest["certificate"]["witness"]
+        assert witness == [4, 4, 4, 4]
+        # in J(ab) and with no split into J(a) and J(b), by the oracle
+        # that uses neither the engine nor its facets
+        ring = tc.ToricRing.from_json_dict(smallest["ring"])
+        gens_a = smallest["ideal_a"]["generators"]
+        gens_b = smallest["ideal_b"]["generators"]
+        assert in_minkowski_interior_fm(gens_a, gens_b, [x + 1 for x in witness])
+        assert fm_product_split(ring, gens_a, gens_b, witness) is None
 
     def test_notes_flag_external_fact(self):
         rep = tc.explore_question33(tc.ExploreConfig(trials=0))
