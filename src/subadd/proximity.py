@@ -24,8 +24,9 @@ against the strict transform of a stage-0 curve C is
 
 not the first term alone; dropping the correction makes the test
 accept cycles that fail anti-nefness directly (blow up one point of a
--2 curve F and test Z = F + 4*E_1). The corrected rows are used here,
-which makes the d-test agree with the direct test on every cycle.
+-2 curve F and test Z = F + 4*E_1). The d-test in ``tests/_oracles.py``
+uses the corrected rows, which makes it agree with the direct test on
+every cycle.
 """
 
 from __future__ import annotations
@@ -139,16 +140,16 @@ class DCoordinates:
     over the blowup curves (aligned with the model's blowup order)."""
 
     base: Cycle
-    d: tuple[Fraction, ...]
+    d: tuple[int | Fraction, ...]
 
 
 def d_coordinates(model: ResolutionModel, z: Cycle) -> DCoordinates:
     """Decompose ``z``; exact, and the basis always spans."""
     base = model.pushforward(z, 0)
     rest = dict((z - model.pullback(0, base)).items())
-    d: list[Fraction] = []
+    d: list[int | Fraction] = []
     for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
-        di = rest.get(name, Fraction(0))
+        di = rest.get(name, 0)
         d.append(di)
         if di:
             for n, q in pb.items():
@@ -159,43 +160,16 @@ def d_coordinates(model: ResolutionModel, z: Cycle) -> DCoordinates:
 
 
 def from_d_coordinates(model: ResolutionModel, dc: DCoordinates) -> Cycle:
-    z = model.pullback(0, dc.base)
+    z = dict(model.pullback(0, dc.base).items())
     for pb, di in zip(model.blowup_pullbacks(), dc.d):
         if di:
-            z = z + di * pb
-    return z
+            for n, q in pb.items():
+                z[n] = z.get(n, 0) + di * q
+    return Cycle(z)
 
 
 def _pd_rows(matrix, d: Sequence[int | Fraction]) -> list[int | Fraction]:
     return [sum(pij * dj for pij, dj in zip(row, d)) for row in matrix]
-
-
-def anti_nef_test_d(
-    model: ResolutionModel, dc: DCoordinates, prox: ProximityData | None = None
-) -> bool:
-    """Anti-nef test in d-coordinates, without reconstructing the cycle.
-
-    Requires: P d >= 0, an effective stage-0 part, and corrected
-    stage-0 exceptional rows (pushforward row plus the d-mass of
-    blowups proximate to the curve) <= 0. Agrees with the direct
-    anti-nef test on the reconstructed cycle, for every cycle.
-    """
-    if prox is None:
-        prox = proximity_data(model)
-    if not dc.base.is_effective():
-        return False
-    if any(v < 0 for v in _pd_rows(prox.matrix, dc.d)):
-        return False
-    for c in model.stage_names(0):
-        if model.kind[c] != EXCEPTIONAL:
-            continue
-        row = model.dot_curve(dc.base, c, stage=0)
-        for name, di in zip(model.blowup_names, dc.d):
-            if c in prox.prox_base[name]:
-                row += di
-        if row > 0:
-            return False
-    return True
 
 
 def lambda_set(
@@ -301,11 +275,11 @@ def computation_sequence(
         prox = proximity_data(model)
     lam = lambda_set(model, prox)
     dc = d_coordinates(model, z)
-    d0 = tuple(int(v) for v in dc.d)
+    d0 = dc.d
     d = _initial_step(d0, lam)
     more, chosen = _raise_negative_rows(d, prox, choose)
     steps = [d, *more]
-    final = from_d_coordinates(model, DCoordinates(dc.base, tuple(map(Fraction, steps[-1]))))
+    final = from_d_coordinates(model, DCoordinates(dc.base, steps[-1]))
     return ComputationTrace(
         model=model,
         start=z,
@@ -386,8 +360,8 @@ def paired_sequences(
 
     dc_a = d_coordinates(model, f_a)
     dc_b = d_coordinates(model, f_b)
-    a0 = tuple(int(v) for v in dc_a.d)
-    b0 = tuple(int(v) for v in dc_b.d)
+    a0 = dc_a.d
+    b0 = dc_b.d
 
     c_trace = computation_sequence(model, f_a + f_b, prox=prox)
     a = _initial_step(a0, c_trace.lam)
@@ -414,8 +388,8 @@ def paired_sequences(
     b_steps += _raise_negative_rows(b, prox)[0]
     a_final, b_final = a_steps[-1], b_steps[-1]
 
-    cyc_a = from_d_coordinates(model, DCoordinates(dc_a.base, tuple(map(Fraction, a_final))))
-    cyc_b = from_d_coordinates(model, DCoordinates(dc_b.base, tuple(map(Fraction, b_final))))
+    cyc_a = from_d_coordinates(model, DCoordinates(dc_a.base, a_final))
+    cyc_b = from_d_coordinates(model, DCoordinates(dc_b.base, b_final))
     cyc_c = c_trace.final_cycle
 
     total = cyc_a + cyc_b
@@ -702,7 +676,7 @@ def strong_subadd_counterexample_reducible(
             "multiple has a nonzero n-th floor (is the exceptional locus reducible?)"
         )
 
-    whole = model.multiplier_cycle(found, Fraction(1))
+    whole = model.multiplier_cycle(found, 1)
     frac = model.multiplier_cycle(found, Fraction(1, n))
     if whole != found or not z_f.leq(frac):
         raise AssertionError("counterexample verification failed; internal bug")

@@ -12,6 +12,9 @@ exact. Solutions are back-substituted as integers over the determinant
 and re-verified against the un-eliminated rows; only the returned
 values are Fractions. Everything is desk-scale (a few dozen rows);
 there is deliberately no sparse machinery.
+
+:func:`exact` gives the canonical form of a scalar: an ``int`` for an
+integral value and a ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "SingularMatrixError",
     "NonSymmetricError",
     "as_rational",
+    "exact",
     "rational_to_string",
     "solve_linear",
     "determinant",
@@ -44,6 +48,18 @@ class NonSymmetricError(ValueError):
     """Raised when an operation requires a symmetric matrix."""
 
 
+def _plain_int(s: str) -> bool:
+    """An optional sign, then ASCII digits only.
+
+    ``int`` reads such a string exactly as ``Fraction`` does, on every
+    supported Python. Anything else (whitespace, "_" separators, which
+    ``Fraction`` accepts from Python 3.11 on only, non-ASCII digits, "/",
+    "." or an exponent) is left to ``Fraction``.
+    """
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    return digits.isascii() and digits.isdigit()
+
+
 def as_rational(x) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to Fraction; reject floats."""
     if isinstance(x, Fraction):
@@ -53,7 +69,7 @@ def as_rational(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return Fraction(int(x)) if _plain_int(x) else Fraction(x)
     raise TypeError(f"not an exact rational: {x!r} (floats are not allowed)")
 
 
@@ -63,8 +79,21 @@ def rational_to_string(x) -> str:
 
 
 def _exact(x):
-    """An ``int`` stays an ``int``; anything else goes through as_rational."""
+    """An ``int`` stays an ``int``; anything else goes through as_rational
+    (so an integral Fraction stays a Fraction, unlike :func:`exact`)."""
     return x if type(x) is int else as_rational(x)
+
+
+def exact(x) -> int | Fraction:
+    """The canonical exact value of ``x``: an ``int`` when it is an
+    integer, else a ``Fraction``. Accepts what :func:`as_rational`
+    accepts."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _plain_int(x):
+        return int(x)
+    q = as_rational(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 class QMatrix:

@@ -21,6 +21,22 @@ total transforms of marked curves, and multiplier-ideal cycles. All
 curves are assumed rational (genus 0); the models cannot express higher
 genus. Models are immutable after construction and every operation is
 pure, so instances are safe to share across threads.
+
+Two facts let a model do its rational linear algebra on the base graph
+alone. Blow up a point P of a stage, with new curve E, and write pi^*C
+for the total transform of an earlier exceptional curve C. Then
+pi^*C . pi^*C' = C . C', pi^*C . E = 0 and E^2 = -1, and the strict
+transforms pi^*C - m_P(C) E together with E span the same lattice as
+the pullbacks together with E (a unitriangular change of basis; m_P(C)
+is 1 when P lies on C, else 0). So the new exceptional block is
+congruent over the integers to the old block plus one diagonal -1, and
+by induction the final block is negative definite exactly when the
+base block is: ``_build`` tests the base block alone. Likewise
+K' = pi^*K + E satisfies adjunction on the new surface, K'.E = -1 =
+-E^2 - 2 and K'.C' = K.C + m_P(C) = -C'^2 - 2 on a strict transform C',
+so K is the stage-0 solve carried through the blowups, one coefficient
+per blowup; one sweep of intersection rows re-checks adjunction on
+every exceptional curve of the final surface.
 """
 
 from __future__ import annotations
@@ -32,9 +48,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .rationals import (
     QMatrix,
-    as_rational,
+    exact,
     is_negative_definite,
-    rational_to_string,
     solve_linear,
 )
 
@@ -81,20 +96,22 @@ class InvalidParametersError(ValueError):
 class Cycle:
     """Formal sum of curves with exact rational coefficients.
 
-    Coefficients are stored sparsely by curve name; zero coefficients
-    are dropped, so equality and support queries are canonical. Cycles
-    are immutable values; comparison is the componentwise partial
-    order.
+    Coefficients are stored sparsely by curve name in canonical form:
+    zero coefficients are dropped, an integral one is an ``int`` and a
+    fractional one a ``Fraction`` (see :func:`rationals.exact`), so
+    equality and support queries are canonical and integral cycles cost
+    no Fraction arithmetic. Cycles are immutable values; comparison is
+    the componentwise partial order.
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[str, object] | None = None):
-        c: dict[str, Fraction] = {}
+        c: dict[str, int | Fraction] = {}
         if coeffs:
             for name, val in coeffs.items():
-                q = as_rational(val)
-                if q != 0:
+                q = val if type(val) is int else exact(val)
+                if q:
                     c[str(name)] = q
         self._c = c
 
@@ -102,8 +119,8 @@ class Cycle:
     def of(cls, **coeffs) -> "Cycle":
         return cls(coeffs)
 
-    def coeff(self, name: str) -> Fraction:
-        return self._c.get(name, Fraction(0))
+    def coeff(self, name: str) -> int | Fraction:
+        return self._c.get(name, 0)
 
     def support(self) -> tuple[str, ...]:
         return tuple(sorted(self._c))
@@ -115,7 +132,7 @@ class Cycle:
         return not self._c
 
     def is_integral(self) -> bool:
-        return all(q.denominator == 1 for q in self._c.values())
+        return all(type(q) is int for q in self._c.values())
 
     def is_effective(self) -> bool:
         return all(q >= 0 for q in self._c.values())
@@ -123,20 +140,20 @@ class Cycle:
     def __add__(self, other: "Cycle") -> "Cycle":
         c = dict(self._c)
         for name, q in other._c.items():
-            c[name] = c.get(name, Fraction(0)) + q
+            c[name] = c.get(name, 0) + q
         return Cycle(c)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         c = dict(self._c)
         for name, q in other._c.items():
-            c[name] = c.get(name, Fraction(0)) - q
+            c[name] = c.get(name, 0) - q
         return Cycle(c)
 
     def __neg__(self) -> "Cycle":
         return Cycle({n: -q for n, q in self._c.items()})
 
     def __mul__(self, scalar) -> "Cycle":
-        s = as_rational(scalar)
+        s = exact(scalar)
         return Cycle({n: s * q for n, q in self._c.items()})
 
     __rmul__ = __mul__
@@ -148,8 +165,10 @@ class Cycle:
         return Cycle({n: math.ceil(q) for n, q in self._c.items()})
 
     def leq(self, other: "Cycle") -> bool:
-        names = set(self._c) | set(other._c)
-        return all(self.coeff(n) <= other.coeff(n) for n in names)
+        mine, theirs = self._c, other._c
+        return all(q <= theirs.get(n, 0) for n, q in mine.items()) and all(
+            q >= 0 for n, q in theirs.items() if n not in mine
+        )
 
     def __le__(self, other: "Cycle") -> bool:
         return self.leq(other)
@@ -171,16 +190,16 @@ class Cycle:
         return Cycle({n: q for n, q in self._c.items() if n in keep})
 
     def to_json_dict(self) -> dict[str, str]:
-        return {n: rational_to_string(q) for n, q in sorted(self._c.items())}
+        return {n: str(q) for n, q in sorted(self._c.items())}
 
     @classmethod
     def from_json_dict(cls, d: Mapping[str, object]) -> "Cycle":
-        return cls({n: as_rational(v) for n, v in d.items()})
+        return cls(d)
 
     def __repr__(self) -> str:
         if not self._c:
             return "Cycle(0)"
-        parts = [f"{rational_to_string(q)}*{n}" for n, q in sorted(self._c.items())]
+        parts = [f"{q}*{n}" for n, q in sorted(self._c.items())]
         return "Cycle(" + " + ".join(parts) + ")"
 
 
@@ -244,7 +263,7 @@ class ResolutionModel:
             inter[a][b] += 1
             inter[b][a] += 1
 
-        stages = [{n: dict(row) for n, row in inter.items()}]
+        self._stages = {0: {n: dict(row) for n, row in inter.items()}}
         for bl in self.blowups:
             if bl.name in kind:
                 raise ModelError(f"duplicate curve name {bl.name!r}")
@@ -263,21 +282,9 @@ class ResolutionModel:
                     f"center curves {center[0]!r}, {center[1]!r} do not meet "
                     f"when {bl.name!r} is blown up"
                 )
-            new = bl.name
-            for n in names:
-                inter[n][new] = 0
-            inter[new] = {n: 0 for n in names}
-            inter[new][new] = -1
-            for c in center:
-                inter[c][c] -= 1
-                inter[new][c] = 1
-                inter[c][new] = 1
-            if len(center) == 2:
-                inter[center[0]][center[1]] -= 1
-                inter[center[1]][center[0]] -= 1
-            names.append(new)
-            kind[new] = EXCEPTIONAL
-            stages.append({n: dict(row) for n, row in inter.items()})
+            _blow_up(inter, bl.name, center)
+            names.append(bl.name)
+            kind[bl.name] = EXCEPTIONAL
 
         self.names: tuple[str, ...] = tuple(names)
         self.kind: dict[str, str] = kind
@@ -290,21 +297,45 @@ class ResolutionModel:
         self.center_of: dict[str, tuple[str, ...]] = {
             b.name: tuple(b.center_on) for b in self.blowups
         }
-        self._stage_inter = tuple(stages)
-        self.inter = self._stage_inter[-1]
+        self.inter = inter
+        self._stages[self.n_blowups] = inter
         # The nonzero entries of each final-surface row, for row sweeps.
         self._nonzero: dict[str, tuple[tuple[str, int], ...]] = {
             a: tuple((b, v) for b, v in row.items() if v) for a, row in self.inter.items()
         }
 
-        block = self.intersection_matrix(curves=self.exceptional)
-        if not is_negative_definite(block):
+        # definiteness of the base block decides every stage's (module
+        # docstring); the stage-0 solve seeds K, the blowups do the rest
+        self._base_exceptional = tuple(
+            c.name for c in self.base_curves if c.kind == EXCEPTIONAL
+        )
+        self._base_block = self.intersection_matrix(0, self._base_exceptional)
+        if not is_negative_definite(self._base_block):
             raise NotNegativeDefiniteError(
                 "exceptional intersection block is not negative definite"
             )
-        self._stage_canonicals: dict[int, Cycle] = {}
-        self._K = self.stage_relative_canonical(self.n_blowups)
+        inter0 = self._stages[0]
+        base_k = self._base_solve([-inter0[e][e] - 2 for e in self._base_exceptional])
+        # den*K is integral: the recursion and its adjunction check run
+        # on integers
+        den = math.lcm(*(q.denominator for q in base_k.values()))
+        big_k = _blowup_canonical(
+            {n: q.numerator * (den // q.denominator) for n, q in base_k.items()},
+            self.blowups,
+            den,
+        )
+        rows = self.curve_rows(big_k.items())
+        if any(rows[e] != den * (-inter[e][e] - 2) for e in self.exceptional):
+            raise AssertionError("relative canonical divisor fails adjunction; internal bug")
+        self._K = Cycle(big_k if den == 1 else {n: Fraction(v, den) for n, v in big_k.items()})
         self._blowup_pullbacks: tuple[Cycle, ...] | None = None
+
+    def _base_solve(self, rhs: Sequence[int]) -> dict[str, Fraction]:
+        """The stage-0 exceptional cycle x with x.E = rhs_E on each
+        stage-0 exceptional curve E."""
+        if not self._base_exceptional:
+            return {}
+        return dict(zip(self._base_exceptional, solve_linear(self._base_block, rhs)))
 
     # -- simple accessors -----------------------------------------------
 
@@ -319,26 +350,37 @@ class ResolutionModel:
                 f"stage {stage} outside 0..{self.n_blowups}"
             )
 
+    def _stage_inter(self, stage: int) -> dict[str, dict[str, int]]:
+        """Intersection numbers on the stage-``stage`` surface: the base
+        graph with the first ``stage`` blowups replayed, kept once built."""
+        self._check_stage(stage)
+        if stage not in self._stages:
+            inter = {n: dict(row) for n, row in self._stages[0].items()}
+            for bl in self.blowups[:stage]:
+                _blow_up(inter, bl.name, bl.center_on)
+            self._stages[stage] = inter
+        return self._stages[stage]
+
     def intersection_matrix(
         self, stage: int | None = None, curves: Sequence[str] | None = None
     ) -> QMatrix:
-        inter = self.inter if stage is None else self._stage_inter[stage]
+        inter = self.inter if stage is None else self._stage_inter(stage)
         if curves is None:
             curves = self.stage_names(stage if stage is not None else self.n_blowups)
         return QMatrix([[inter[a][b] for b in curves] for a in curves])
 
     def _validate_support(self, z: Cycle, stage: int | None = None) -> None:
-        allowed = set(self.names if stage is None else self.stage_names(stage))
+        allowed = self.inter if stage is None else self.stage_names(stage)
         for n in z.support():
             if n not in allowed:
                 raise ModelError(f"cycle names unknown curve {n!r}")
 
-    def dot(self, z1: Cycle, z2: Cycle, stage: int | None = None) -> Fraction:
+    def dot(self, z1: Cycle, z2: Cycle, stage: int | None = None) -> int | Fraction:
         """Intersection number of two cycles (at the given stage)."""
         self._validate_support(z1, stage)
         self._validate_support(z2, stage)
-        inter = self.inter if stage is None else self._stage_inter[stage]
-        total = Fraction(0)
+        inter = self.inter if stage is None else self._stage_inter(stage)
+        total = 0
         for a, qa in z1.items():
             row = inter[a]
             for b, qb in z2.items():
@@ -346,7 +388,7 @@ class ResolutionModel:
                     total += qa * qb * row[b]
         return total
 
-    def dot_curve(self, z: Cycle, name: str, stage: int | None = None) -> Fraction:
+    def dot_curve(self, z: Cycle, name: str, stage: int | None = None) -> int | Fraction:
         return self.dot(z, Cycle({name: 1}), stage)
 
     def curve_rows(
@@ -354,14 +396,12 @@ class ResolutionModel:
     ) -> dict[str, int | Fraction]:
         """z.C for every curve C of the final surface, in one sweep.
 
-        ``coeffs`` is the (name, coefficient) pairs of z, names assumed
-        valid; integral coefficients are taken as ``int``, so an
+        ``coeffs`` is the (name, coefficient) pairs of z in
+        :func:`rationals.exact` form, names assumed valid, so an
         integral cycle costs no Fraction arithmetic.
         """
         rows: dict[str, int | Fraction] = dict.fromkeys(self.names, 0)
         for a, q in coeffs:
-            if q.denominator == 1:
-                q = q.numerator
             for b, v in self._nonzero[a]:
                 rows[b] += q * v
         return rows
@@ -374,19 +414,12 @@ class ResolutionModel:
         return self._K
 
     def stage_relative_canonical(self, stage: int) -> Cycle:
-        """Relative canonical divisor of the stage-s surface over the base."""
-        self._check_stage(stage)
-        if stage not in self._stage_canonicals:
-            exc = [n for n in self.stage_names(stage) if self.kind[n] == EXCEPTIONAL]
-            if not exc:
-                k = Cycle()
-            else:
-                inter = self._stage_inter[stage]
-                m = QMatrix([[inter[a][b] for b in exc] for a in exc])
-                rhs = [-inter[e][e] - 2 for e in exc]
-                k = Cycle(dict(zip(exc, solve_linear(m, rhs))))
-            self._stage_canonicals[stage] = k
-        return self._stage_canonicals[stage]
+        """Relative canonical divisor of the stage-s surface over the base.
+
+        A blowup keeps every earlier coefficient of K (K' = pi^*K + E),
+        so this is K restricted to the stage-s curves.
+        """
+        return self._K.restrict(self.stage_names(stage))
 
     def is_log_terminal(self) -> bool:
         """True when every discrepancy exceeds -1.
@@ -395,7 +428,7 @@ class ResolutionModel:
         multiplier cycle of the unit ideal vanishes.
         """
         lt = all(self._K.coeff(e) > -1 for e in self.exceptional)
-        unit = self.multiplier_cycle(Cycle(), Fraction(1))
+        unit = self.multiplier_cycle(Cycle(), 1)
         if lt != unit.is_zero():
             raise AssertionError("log-terminal criteria disagree; internal bug")
         return lt
@@ -425,10 +458,9 @@ class ResolutionModel:
         """
         self._validate_support(z)
         work: dict[str, int] = {}
-        for name, q in z.items():
-            if q.denominator != 1:
+        for name, v in z.items():
+            if type(v) is not int:
                 raise NonIntegralError(f"coefficient of {name!r} is not an integer")
-            v = int(q)
             if self.kind[name] == MARKED:
                 if v < 0:
                     raise NegativeMarkedError(
@@ -476,7 +508,7 @@ class ResolutionModel:
         """
         self._check_stage(stage)
         self._validate_support(z, stage)
-        w = {n: q for n, q in z.items()}
+        w = dict(z.items())
         for bl in self.blowups[stage:]:
             m = sum(w.get(c, 0) for c in bl.center_on)
             if m:
@@ -499,23 +531,25 @@ class ResolutionModel:
             raise StageOutOfRangeError(f"blowup stage {stage} outside 1..{self.n_blowups}")
         self._validate_support(z, stage - 1)
         bl = self.blowups[stage - 1]
-        m = sum((z.coeff(c) for c in bl.center_on), Fraction(0))
+        m = sum(z.coeff(c) for c in bl.center_on)
         return z + Cycle({bl.name: m})
 
     def total_transform_marked(self, name: str) -> Cycle:
         """f*D for a marked curve D: the strict transform plus the unique
-        exceptional correction orthogonal to every exceptional curve."""
+        exceptional correction orthogonal to every exceptional curve.
+
+        Solved on the base graph and pulled back: a pullback stays
+        orthogonal to every exceptional curve of the later stages.
+        """
         if self.kind.get(name) != MARKED:
             raise ModelError(f"{name!r} is not a marked curve")
-        exc = list(self.exceptional)
-        result = Cycle({name: 1})
-        if exc:
-            m = self.intersection_matrix(curves=exc)
-            rhs = [-self.inter[name][e] for e in exc]
-            result = result + Cycle(dict(zip(exc, solve_linear(m, rhs))))
-        for e in exc:
-            if self.dot_curve(result, e) != 0:
-                raise AssertionError("total transform not orthogonal; internal bug")
+        inter0 = self._stages[0]
+        base = self._base_solve([-inter0[name][e] for e in self._base_exceptional])
+        base[name] = 1
+        result = self.pullback(0, Cycle(base))
+        rows = self.curve_rows(result.items())
+        if any(rows[e] for e in self.exceptional):
+            raise AssertionError("total transform not orthogonal; internal bug")
         return result
 
     # -- multiplier ideals --------------------------------------------------
@@ -523,7 +557,7 @@ class ResolutionModel:
     def multiplier_cycle(self, z: Cycle, c) -> Cycle:
         """Cycle of the multiplier ideal of the ideal with cycle ``z``,
         at exponent ``c``: the anti-nef closure of floor(c*z - K)."""
-        c = as_rational(c)
+        c = exact(c)
         if c <= 0:
             raise InvalidParametersError("exponent must be positive")
         if not self.is_anti_nef(z):
@@ -570,6 +604,39 @@ class ResolutionModel:
     def __repr__(self) -> str:
         weights = ", ".join(f"{n}({self.inter[n][n]})" for n in self.names)
         return f"ResolutionModel[{weights}]"
+
+
+def _blow_up(inter: dict[str, dict[str, int]], new: str, center: Sequence[str]) -> None:
+    """Blow up, in place, a point of the curves ``center`` (one curve, or
+    two that meet there): the new curve is a (-1)-curve meeting each
+    center curve once, each center curve drops by one, and two center
+    curves no longer meet at that point."""
+    for row in inter.values():
+        row[new] = 0
+    inter[new] = dict.fromkeys(inter, 0)
+    inter[new][new] = -1
+    for c in center:
+        inter[c][c] -= 1
+        inter[new][c] = 1
+        inter[c][new] = 1
+    if len(center) == 2:
+        inter[center[0]][center[1]] -= 1
+        inter[center[1]][center[0]] -= 1
+
+
+def _blowup_canonical(
+    base_k: Mapping[str, int], blowups: Sequence[Blowup], den: int
+) -> dict[str, int]:
+    """den*K on the final surface from den*K on the base graph.
+
+    Blowing up a point P gives K' = pi^*K + E: the new curve gets the
+    K-mass of P (the sum of the coefficients of the curves through it;
+    marked curves carry none) plus one, and no earlier coefficient moves.
+    """
+    k = dict(base_k)
+    for bl in blowups:
+        k[bl.name] = sum(k.get(c, 0) for c in bl.center_on) + den
+    return k
 
 
 def build_model(

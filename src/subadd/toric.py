@@ -656,6 +656,26 @@ def _box_minimal_generators(
     return _box_minimal_impl(ring, normals, thresholds, q, strict, shift, start_bound)
 
 
+def _multiplier_start(ideal: MonomialIdeal, c: Fraction) -> int:
+    """The engine's start bound for J(ideal^c), checked before any
+    Newton polyhedron is built: a ring without unit coordinate steps is
+    refused, and so is a prefix grid past ``_CELL_CAP`` (at rank 8 or
+    more every grid is, and facet enumeration there can take minutes)."""
+    ring = ideal.ring
+    if any(s != 1 for s in ring.coordinate_steps):
+        raise InvalidParametersError(
+            "the all-ones interior shift needs unit coordinate projections; "
+            f"this ring has steps {ring.coordinate_steps}"
+        )
+    start = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank
+    side, m = start + 1, ring.rank - 1
+    if side**m > _CELL_CAP:
+        raise OutOfScaleError(
+            f"prefix grid of {side}^{m} cells passes the cap; out of desk scale"
+        )
+    return start
+
+
 def multiplier_monomials(ideal: MonomialIdeal, c) -> MonomialIdeal:
     """Minimal generators of the multiplier ideal of ``ideal`` at
     exponent ``c``: semigroup points v with v + 1 interior to c times
@@ -663,16 +683,10 @@ def multiplier_monomials(ideal: MonomialIdeal, c) -> MonomialIdeal:
     c = as_rational(c)
     if c <= 0:
         raise InvalidParametersError("exponent must be positive")
-    ring = ideal.ring
-    if any(s != 1 for s in ring.coordinate_steps):
-        raise InvalidParametersError(
-            "the all-ones interior shift needs unit coordinate projections; "
-            f"this ring has steps {ring.coordinate_steps}"
-        )
+    start = _multiplier_start(ideal, c)
     poly = ideal.newton_polyhedron()
-    start = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank
-    gens = _box_minimal_generators(ring, poly.facets, c, True, 1, start)
-    return MonomialIdeal._from_engine(ring, gens)
+    gens = _box_minimal_generators(ideal.ring, poly.facets, c, True, 1, start)
+    return MonomialIdeal._from_engine(ideal.ring, gens)
 
 
 def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -853,6 +867,9 @@ def subadditivity_check_monomial(
     if a.ring != b.ring:
         raise RingMismatchError("subadditivity check needs one ring")
     one = Fraction(1)
+    # refuse out-of-scale inputs before any Newton polyhedron is built
+    _multiplier_start(a, one)
+    _multiplier_start(b, one)
     mixed = _vertex_sum_ideal(a, b, 1, 1)
     j_ab, j_a, j_b = (multiplier_monomials(x, one) for x in (mixed, a, b))
     return _certify(a, b, one, one, mixed, one, j_ab, j_a, j_b)
@@ -873,6 +890,9 @@ def strong_subadd_check_monomial(
     d = as_rational(d)
     if c <= 0 or d <= 0:
         raise InvalidParametersError("exponents must be positive")
+    # refuse out-of-scale inputs before any Newton polyhedron is built
+    _multiplier_start(a, c)
+    _multiplier_start(b, d)
     m = lcm(c.denominator, d.denominator)
     p = int(c * m)
     q = int(d * m)

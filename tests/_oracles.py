@@ -1,7 +1,11 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes library results by a different route: box
-enumeration for anti-nef closures and fundamental cycles, pure-Python
+enumeration for anti-nef closures and fundamental cycles, one dense
+Gauss-Jordan solve per stage for relative canonical divisors and one
+on the final surface for total transforms of marked curves, the
+blowup rule replayed with cofactor-expansion minors for negative
+definiteness, the anti-nef test in d-coordinates, pure-Python
 cofactor expansion for Newton-polyhedron facets, integer ranks of
 tight normals for vertices, per-generator dominance tests for the
 failures of a subadditivity certificate, a column scan for the
@@ -18,7 +22,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from subadd.surface import Cycle
+from subadd.proximity import DCoordinates, ProximityData, proximity_data
+from subadd.surface import EXCEPTIONAL, MARKED, Cycle
 
 
 def brute_anti_nef_closure(model, z: Cycle, extra: int = 3) -> Cycle:
@@ -65,6 +70,104 @@ def brute_fundamental_cycle(model, hi: int = 5) -> Cycle:
                 return Cycle(dict(zip(exc, best)))
         hi += 3
     raise AssertionError("oracle box exhausted")
+
+
+def _fraction_solve(rows, rhs) -> list[Fraction]:
+    """x with rows.x = rhs, by Gauss-Jordan elimination over Fractions
+    (the matrix must be invertible)."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if aug[r][k])
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for r in range(n):
+            if r != k and aug[r][k]:
+                f = aug[r][k]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[k])]
+    return [row[n] for row in aug]
+
+
+def stage_canonical_dense(model, stage: int) -> Cycle:
+    """K of the stage-``stage`` surface from one dense solve of the
+    adjunction system K.E = -E^2 - 2 over that stage's exceptional
+    curves."""
+    exc = [n for n in model.stage_names(stage) if model.kind[n] == EXCEPTIONAL]
+    m = model.intersection_matrix(stage, exc)
+    rhs = [-m.entry(i, i) - 2 for i in range(len(exc))]
+    return Cycle(dict(zip(exc, _fraction_solve(m.data, rhs))))
+
+
+def total_transform_dense(model, name: str) -> Cycle:
+    """f*D for a marked curve D from one dense solve on the final
+    exceptional block: D plus the exceptional cycle x with
+    x.E = -D.E on every exceptional curve E."""
+    exc = model.exceptional
+    m = model.intersection_matrix(curves=exc)
+    x = _fraction_solve(m.data, [-model.inter[name][e] for e in exc])
+    return Cycle({name: 1, **dict(zip(exc, x))})
+
+
+def replay_exceptional_block(base_curves, base_edges, blowups) -> list[list[int]]:
+    """The final exceptional intersection block, rebuilt from the base
+    graph and the blowup rule. ``base_curves`` are (name,
+    self-intersection, kind), ``blowups`` (name, center curves), all
+    assumed valid."""
+    inter = {c[0]: {d[0]: 0 for d in base_curves} for c in base_curves}
+    for name, self_int, _ in base_curves:
+        inter[name][name] = self_int
+    for a, b in base_edges:
+        inter[a][b] += 1
+        inter[b][a] += 1
+    for new, center in blowups:
+        for row in inter.values():
+            row[new] = 0
+        inter[new] = {n: 0 for n in inter}
+        inter[new][new] = -1
+        for c in center:
+            inter[c][c] -= 1
+            inter[c][new] = inter[new][c] = 1
+        if len(center) == 2:
+            inter[center[0]][center[1]] -= 1
+            inter[center[1]][center[0]] -= 1
+    marked = {c[0] for c in base_curves if c[2] == MARKED}
+    exc = [n for n in inter if n not in marked]
+    return [[inter[a][b] for b in exc] for a in exc]
+
+
+def negative_definite_by_minors(rows: list[list[int]]) -> bool:
+    """Sylvester's criterion with every leading principal minor
+    expanded by cofactors: the k-th has the sign of (-1)^k."""
+    return all(
+        (-1) ** k * _int_det([row[:k] for row in rows[:k]]) > 0
+        for k in range(1, len(rows) + 1)
+    )
+
+
+def anti_nef_test_d(model, dc: DCoordinates, prox: ProximityData | None = None) -> bool:
+    """Anti-nef test in d-coordinates, without reconstructing the cycle.
+
+    Requires: P d >= 0, an effective stage-0 part, and corrected
+    stage-0 exceptional rows (pushforward row plus the d-mass of
+    blowups proximate to the curve) <= 0. Agrees with the direct
+    anti-nef test on the reconstructed cycle, for every cycle.
+    """
+    if prox is None:
+        prox = proximity_data(model)
+    if not dc.base.is_effective():
+        return False
+    if any(sum(p * d for p, d in zip(row, dc.d)) < 0 for row in prox.matrix):
+        return False
+    for c in model.stage_names(0):
+        if model.kind[c] != EXCEPTIONAL:
+            continue
+        row = model.dot_curve(dc.base, c, stage=0)
+        for name, di in zip(model.blowup_names, dc.d):
+            if c in prox.prox_base[name]:
+                row += di
+        if row > 0:
+            return False
+    return True
 
 
 def _int_det(rows: list[list[int]]) -> int:

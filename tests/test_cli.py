@@ -259,6 +259,32 @@ def test_engine_fault_exits_4(capsys, break_engine, fault):
     assert report["error"].endswith("is not in the semigroup; internal bug")
 
 
+def test_adjunction_fault_exits_4(capsys, monkeypatch):
+    # K carried through the blowups with one increment off by one: the
+    # adjunction sweep refuses the model and the check exits 4
+    from subadd import surface as sf
+
+    honest = sf._blowup_canonical
+
+    def broken(base_k, blowups, den):
+        k = honest(base_k, blowups, den)
+        k[blowups[0].name] += den
+        return k
+
+    monkeypatch.setattr(sf, "_blowup_canonical", broken)
+    code, report = run(
+        capsys,
+        "check2d",
+        "--model", str(DATA / "a1_model.json"),
+        "--ideal-a", str(DATA / "fa.json"),
+        "--ideal-b", str(DATA / "fa.json"),
+    )
+    assert code == 4
+    assert report["error"] == (
+        "AssertionError: relative canonical divisor fails adjunction; internal bug"
+    )
+
+
 def test_classification_violation_exits_4(capsys, monkeypatch):
     def violated(*args):
         raise px.ClassificationViolationError("not in the catalog")

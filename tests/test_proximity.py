@@ -15,6 +15,7 @@ from subadd.surface import (
     hj_chain,
 )
 
+from _oracles import anti_nef_test_d, stage_canonical_dense
 from _randgen import random_anti_nef_cycle, random_integral_cycle, random_model
 
 
@@ -52,21 +53,38 @@ class TestProximityData:
 
 class TestStageCanonicals:
     def test_recursive_structure_randomized(self):
-        # the stage-s canonical divisor is the one-step pullback of the
-        # previous one plus the new curve, and in d-coordinates the
-        # full canonical divisor is the stage-0 part plus one copy of
+        # every stage's K, carried through the blowups by K' = pi^*K + E,
+        # equals the dense adjunction solve at that stage; and in
+        # d-coordinates the full K is the stage-0 part plus one copy of
         # every blowup pullback
         rng = random.Random(500)
-        for _ in range(20):
-            model = random_model(rng)
-            for s in range(1, model.n_blowups + 1):
-                prev = model.stage_relative_canonical(s - 1)
-                here = model.stage_relative_canonical(s)
-                new = model.blowup_names[s - 1]
-                assert here == model.pullback_one_step(s, prev) + Cycle({new: 1})
+        marked_centers = 0
+        for i in range(60):
+            model = random_model(rng, max_blowups=3 + i % 4)
+            marked_centers += sum(
+                any(model.kind[c] == MARKED for c in model.center_of[b])
+                for b in model.blowup_names
+            )
+            for s in range(model.n_blowups + 1):
+                assert model.stage_relative_canonical(s) == stage_canonical_dense(model, s)
             dc = px.d_coordinates(model, model.relative_canonical)
             assert dc.base == model.stage_relative_canonical(0)
             assert all(v == 1 for v in dc.d)
+        assert marked_centers >= 5
+
+    def test_marked_centers(self):
+        # blowups on a marked curve alone and on its meeting point with
+        # an exceptional curve: the marked curve carries no K-mass
+        model = build_model(
+            [("F", -3, EXCEPTIONAL), ("D", 0, MARKED)],
+            [("F", "D")],
+            [("B1", ["D"]), ("B2", ["F", "D"]), ("B3", ["B2", "D"])],
+        )
+        assert model.relative_canonical == Cycle(
+            {"F": Fraction(-1, 3), "B1": 1, "B2": Fraction(2, 3), "B3": Fraction(5, 3)}
+        )
+        for s in range(model.n_blowups + 1):
+            assert model.stage_relative_canonical(s) == stage_canonical_dense(model, s)
 
 
 class TestDCoordinates:
@@ -91,10 +109,10 @@ class TestDCoordinates:
 class TestAntiNefTestD:
     def test_examples(self, a1_blown, chain_3215):
         dc = px.d_coordinates(a1_blown, Cycle({"E1": 2, "F": 1}))
-        assert px.anti_nef_test_d(a1_blown, dc)
+        assert anti_nef_test_d(a1_blown, dc)
         dc2 = px.d_coordinates(chain_3215, Cycle({"F1": 1, "E1": 3, "E2": 5, "F2": 1}))
-        assert px.anti_nef_test_d(chain_3215, dc2)
-        assert not px.anti_nef_test_d(
+        assert anti_nef_test_d(chain_3215, dc2)
+        assert not anti_nef_test_d(
             a1_blown, px.DCoordinates(Cycle(), (Fraction(-1),))
         )
 
@@ -106,7 +124,7 @@ class TestAntiNefTestD:
         dc = px.d_coordinates(a1_blown, z)
         assert dc.d == (Fraction(3),)
         assert not a1_blown.is_anti_nef(z)
-        assert not px.anti_nef_test_d(a1_blown, dc)
+        assert not anti_nef_test_d(a1_blown, dc)
 
     def test_equivalence_randomized(self):
         rng = random.Random(502)
@@ -114,7 +132,7 @@ class TestAntiNefTestD:
             model = random_model(rng)
             z = random_integral_cycle(rng, model)
             dc = px.d_coordinates(model, z)
-            assert px.anti_nef_test_d(model, dc) == model.is_anti_nef(z)
+            assert anti_nef_test_d(model, dc) == model.is_anti_nef(z)
 
 
 class TestLambda:

@@ -11,6 +11,7 @@ from subadd.rationals import (
     _back_substitute,
     as_rational,
     determinant,
+    exact,
     is_negative_definite,
     matrix_rank,
     rational_to_string,
@@ -106,6 +107,47 @@ def test_rational_strings():
     assert as_rational("2/4") == Fraction(1, 2)
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# "1_000" parses from Python 3.11 on only, as Fraction("1_000") does;
+# "\u0663" is an Arabic-Indic three, which Fraction reads and the
+# integer fast path leaves to it
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", " 3 ", "+3", "-0", "3/1", "3.0", "1e3", "007", "\u0663", "", "+", "+-3", "1/0"],
+)
+def test_as_rational_strings_match_fraction(text):
+    want = _parse_outcome(Fraction, text)
+    got = _parse_outcome(as_rational, text)
+    assert got == want and type(got) is type(want)
+    value = _parse_outcome(exact, text)
+    assert value == want
+    if isinstance(want, Fraction):
+        assert type(value) is (int if want.denominator == 1 else Fraction)
+
+
+@given(st.text(alphabet="0123456789+-_/.eE \t\u0663", max_size=8))
+def test_as_rational_strings_match_fraction_randomized(text):
+    want = _parse_outcome(Fraction, text)
+    assert _parse_outcome(as_rational, text) == want
+    assert _parse_outcome(exact, text) == want
+
+
+def test_exact_canonical_form():
+    assert type(exact(Fraction(4, 2))) is int and exact(Fraction(4, 2)) == 2
+    assert exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exact("-12")) is int and exact("-12") == -12
+    assert type(exact("6/3")) is int
+    for bad in (0.5, True, None):
+        with pytest.raises(TypeError):
+            exact(bad)
 
 
 def test_matrix_rank():

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from subadd.rationals import QMatrix
+from subadd import surface as sf
+from subadd.rationals import QMatrix, is_negative_definite
 from subadd.surface import (
     EXCEPTIONAL,
     MARKED,
@@ -21,7 +23,13 @@ from subadd.surface import (
     hj_weights,
 )
 
-from _oracles import brute_anti_nef_closure, brute_fundamental_cycle
+from _oracles import (
+    brute_anti_nef_closure,
+    brute_fundamental_cycle,
+    negative_definite_by_minors,
+    replay_exceptional_block,
+    total_transform_dense,
+)
 from _randgen import random_anti_nef_cycle, random_integral_cycle, random_model
 
 
@@ -84,6 +92,49 @@ class TestBuild:
             build_model([("F", -2, EXCEPTIONAL)], [], [("F", ["F"])])
 
 
+class TestDefiniteness:
+    def test_base_block_decides_randomized(self):
+        # a model builds exactly when its full final exceptional block is
+        # negative definite, though only the base block is tested;
+        # indefinite and degenerate base graphs included
+        rng = random.Random(415)
+        seen = set()
+        for _ in range(300):
+            curves = [(f"C{i}", rng.randint(-4, 0), EXCEPTIONAL) for i in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                curves.append(("D", rng.randint(-2, 2), MARKED))
+            names = [c[0] for c in curves]
+            edges = [
+                (a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.4
+            ]
+            meets = {frozenset(e): 1 for e in edges}
+            blowups = []
+            for k in range(rng.randint(0, 3)):
+                new = f"B{k + 1}"
+                pairs = sorted(tuple(sorted(e)) for e, m in meets.items() if m)
+                if pairs and rng.random() < 0.5:
+                    center = list(rng.choice(pairs))
+                    meets[frozenset(center)] -= 1
+                else:
+                    center = [rng.choice(names)]
+                for c in center:
+                    meets[frozenset((c, new))] = 1
+                names.append(new)
+                blowups.append((new, center))
+            block = replay_exceptional_block(curves, edges, blowups)
+            definite = negative_definite_by_minors(block)
+            assert is_negative_definite(QMatrix(block)) == definite
+            try:
+                model = build_model(curves, edges, blowups)
+            except NotNegativeDefiniteError:
+                assert not definite
+            else:
+                assert definite
+                assert model.intersection_matrix(curves=model.exceptional) == QMatrix(block)
+            seen.add((definite, bool(blowups)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestRelativeCanonical:
     def test_blown_cone(self, a1_blown):
         assert a1_blown.relative_canonical == Cycle({"E1": 1})
@@ -97,6 +148,24 @@ class TestRelativeCanonical:
         # one -k curve blown up once, at k = 2: K = E1 exactly
         model = build_model([("E2", -2, EXCEPTIONAL)], [], [("E1", ["E2"])])
         assert model.relative_canonical == Cycle({"E1": 1})
+
+    @pytest.mark.parametrize("bumped", [0, 1, 2])
+    def test_adjunction_guard_fires(self, monkeypatch, bumped):
+        # one blowup's K increment off by one breaks adjunction on its curve
+        honest = sf._blowup_canonical
+
+        def broken(base_k, blowups, den):
+            k = honest(base_k, blowups, den)
+            k[blowups[bumped].name] += den
+            return k
+
+        monkeypatch.setattr(sf, "_blowup_canonical", broken)
+        with pytest.raises(AssertionError, match="fails adjunction"):
+            build_model(
+                [("F1", -2, EXCEPTIONAL), ("F2", -3, EXCEPTIONAL)],
+                [("F1", "F2")],
+                [("E1", ["F1", "F2"]), ("E2", ["E1", "F2"]), ("E3", ["E2"])],
+            )
 
     def test_adjunction_residual_randomized(self):
         rng = random.Random(401)
@@ -362,6 +431,18 @@ class TestMarkedCurves:
         with pytest.raises(ValueError):
             a1_blown.total_transform_marked("F")
 
+    def test_matches_dense_solve_randomized(self):
+        # solved on the base graph and pulled back through the blowups,
+        # centers on the marked curve included
+        rng = random.Random(416)
+        blown = 0
+        for _ in range(40):
+            model = random_model(rng, max_blowups=4)
+            for d in model.marked:
+                assert model.total_transform_marked(d) == total_transform_dense(model, d)
+                blown += model.n_blowups > 0
+        assert blown >= 5
+
 
 class TestMultiplierCycle:
     def test_blown_cone_exponents(self, a1_blown):
@@ -480,3 +561,38 @@ class TestCycleValues:
         a = Cycle({"x": Fraction(-2, 5), "y": 3})
         assert Cycle.from_json_dict(a.to_json_dict()) == a
         assert a.to_json_dict() == {"x": "-2/5", "y": "3"}
+
+    def test_integral_coefficients_are_ints(self):
+        a = Cycle({"E": Fraction(4, 2), "F": Fraction(1, 3), "G": "6/3"})
+        assert type(a.coeff("E")) is int and a.coeff("E") == 2
+        assert type(a.coeff("G")) is int
+        assert type(a.coeff("F")) is Fraction
+        assert type(a.coeff("absent")) is int
+        assert all(type(q) is int for _, q in (3 * a).items())
+        assert type((a - a + Cycle({"E": Fraction(1, 2)}) * 2).coeff("E")) is int
+        assert Cycle({"E": 0, "F": Fraction(0)}).is_zero()
+
+    def test_int_and_fraction_inputs_agree(self):
+        from_ints = Cycle({"x": 2, "y": -1})
+        from_fractions = Cycle({"x": Fraction(2), "y": Fraction(-3, 3)})
+        assert from_ints == from_fractions
+        assert from_ints.to_json_dict() == from_fractions.to_json_dict()
+        assert repr(from_ints) == repr(from_fractions) == "Cycle(2*x + -1*y)"
+
+    def test_floats_and_bools_rejected(self):
+        for bad in (0.5, 1.0, True, False):
+            with pytest.raises(TypeError):
+                Cycle({"x": bad})
+            with pytest.raises(TypeError):
+                Cycle({"x": 1}) * bad
+
+    def test_json_bytes(self):
+        a = Cycle({"y": Fraction(6, 3), "x": Fraction(-2, 5), "z": "4", "w": "-0"})
+        assert json.dumps(a.to_json_dict()) == '{"x": "-2/5", "y": "2", "z": "4"}'
+        assert Cycle.from_json_dict(a.to_json_dict()) == a
+        # the strings are those of the Fraction values, as they always were
+        rng = random.Random(414)
+        for _ in range(50):
+            coeffs = {f"E{i}": Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(5)}
+            expect = {n: str(q) for n, q in sorted(coeffs.items()) if q}
+            assert Cycle(coeffs).to_json_dict() == expect

@@ -647,6 +647,31 @@ class TestMultiplier:
         with pytest.raises(tc.OutOfScaleError):
             tc.multiplier_monomials(ideal, 1)
 
+    def test_rank_8_refused_before_newton(self):
+        # every rank-8 prefix grid passes the cell cap; the facets of
+        # these 12 generators would take minutes to enumerate first
+        gens = [tuple(2 * (i == j) for j in range(8)) for i in range(8)]
+        gens += [tuple(int(j in (i, i + 1)) for j in range(8)) for i in range(4)]
+        ideal = tc.MonomialIdeal(tc.ToricRing(8), gens)
+        assert len(ideal.generators) == 12
+        checks = (
+            lambda: tc.multiplier_monomials(ideal, 1),
+            lambda: tc.subadditivity_check_monomial(ideal, ideal),
+            lambda: tc.strong_subadd_check_monomial(ideal, ideal, "1/2", "1/3"),
+        )
+        for check in checks:
+            start = time.perf_counter()
+            with pytest.raises(tc.OutOfScaleError, match="prefix grid"):
+                check()
+            assert time.perf_counter() - start < 1.0
+        assert ideal._newton is None
+        # a ring without unit coordinate steps is still an input error
+        shifted = tc.MonomialIdeal(
+            tc.cyclic_quotient_ring(4, (1,) + (2,) * 7), [tuple(4 * x for x in g) for g in gens]
+        )
+        with pytest.raises(InvalidParametersError):
+            tc.subadditivity_check_monomial(shifted, shifted)
+
     def test_upward_closed_randomized(self, q41_ring, q41_ideal):
         j1 = tc.multiplier_monomials(q41_ideal, 1)
         poly = q41_ideal.newton_polyhedron()
