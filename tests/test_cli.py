@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -547,3 +548,30 @@ def test_report_text(tmp_path, monkeypatch, argv, has_rows):
         gens = built[0]["results"]["multiplier_generators"]
         rows = ",\n".join("      " + json.dumps(g) for g in gens)
         assert f'    "multiplier_generators": [\n{rows}\n    ]' in text
+
+
+# reports written by the one-row-per-line writer, run from the repository
+# root; only the wall time may differ
+_GOLDEN = [
+    ("multiplier_q41_c2.json",
+     ["multiplier", "--ring", "tests/data/q41_ring.json",
+      "--ideal", "tests/data/q41_ideal.json", "-c", "2"]),
+    ("checkmono_q41.json",
+     ["checkmono", "--ring", "tests/data/q41_ring.json",
+      "--ideal-a", "tests/data/q41_ideal.json", "--ideal-b", "tests/data/q41_ideal.json"]),
+    ("check2d_a1.json",
+     ["check2d", "--model", "tests/data/a1_model.json",
+      "--ideal-a", "tests/data/fa.json", "--ideal-b", "tests/data/fa.json"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", _GOLDEN, ids=[name for name, _ in _GOLDEN])
+def test_report_bytes_match_golden(tmp_path, monkeypatch, name, argv):
+    monkeypatch.chdir(DATA.parent.parent)
+    out = tmp_path / name
+    main(argv + ["--out", str(out)])
+
+    def mask(data: bytes) -> bytes:
+        return re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', data)
+
+    assert mask(out.read_bytes()) == mask((DATA / "golden" / name).read_bytes())
