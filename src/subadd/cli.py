@@ -21,7 +21,9 @@ import json
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from . import proximity as px
 from . import surface as sf
@@ -92,7 +94,7 @@ def _cmd_multiplier(args, inputs: dict) -> tuple[dict, bool]:
         parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
         ideal = _load(args.ideal, "ideal", parse_ideal, inputs)
         out = tc.multiplier_monomials(ideal, c)
-        return {"multiplier_generators": list(map(list, out.generators))}, True
+        return {"multiplier_generators": out.rows}, True
     raise ParseError("multiplier needs either --model or --ring")
 
 
@@ -217,50 +219,71 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _row_lists(value, found: set[int]) -> set[int]:
-    """Add to ``found`` the ids of the integer-row lists in a JSON value:
-    nonempty lists of lists whose entries are all ints (generator sets,
-    matrices)."""
-    if type(value) is list:
-        if set(map(type, value)) == {list} and set(
-            map(type, itertools.chain.from_iterable(value))
-        ) == {int}:
-            found.add(id(value))
-            return found
+def _row_block(rows, pad: str) -> str:
+    """An integer-row block (a 2-d int array, or a list of int lists),
+    one row per line: one %-format call over the flattened entries,
+    which writes each int as json.dumps does."""
+    if type(rows) is np.ndarray:
+        formats = ["[" + ", ".join(["%d"] * rows.shape[1]) + "]"] * len(rows)
+        flat = rows.ravel().tolist()
     else:
-        value = value.values()
-    for v in value:
-        if type(v) in (dict, list):
-            _row_lists(v, found)
-    return found
-
-
-def _dumps(value, rows: set[int], pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, except that each
-    list in ``rows`` puts one row per line. The C encoder writes those
-    lists whole; their entries are ints, so "], [" occurs only between
-    rows."""
+        widths = {n: "[" + ", ".join(["%d"] * n) + "]" for n in set(map(len, rows))}
+        formats = [widths[len(row)] for row in rows]
+        flat = list(itertools.chain.from_iterable(rows))
     inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = sorted(value.items())
-        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_dumps(v, rows, inner)}"
-                              for k, v in items) + pad + "}"
-    if isinstance(value, list) and value:
-        if id(value) in rows:
-            text = json.dumps(value, check_circular=False)[1:-1]
-            return "[" + inner + text.replace("], [", "]," + inner + "[") + pad + "]"
-        return "[" + ",".join(inner + _dumps(v, rows, inner) for v in value) + pad + "]"
-    return json.dumps(value)
+    return "[" + inner + ("," + inner).join(formats) % tuple(flat) + pad + "]"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# json.dumps of a str, without its argument handling (an int is its repr)
+_json_string = json.encoder.encode_basestring_ascii
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(pad: str):
+    """The C encoder for a container of scalars at indent ``pad``: its
+    item separator carries the indent of the members."""
+    return json.JSONEncoder(
+        separators=("," + pad + "  ", ": "), sort_keys=True, check_circular=False
+    ).encode
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, except that an
+    integer-row block (a 2-d int array, or a list of int lists with at
+    least one entry: generator sets, matrices) puts one row per line.
+    A container of scalars is one call of the C encoder; only
+    containers holding containers recurse."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is np.ndarray:
+        if value.ndim != 2 or value.dtype.kind not in "iu":
+            raise TypeError(f"no JSON form for an array of shape {value.shape}, {value.dtype}")
+        return _row_block(value, pad) if len(value) else "[]"
+    if kind not in (dict, list) or not value:
+        return json.dumps(value)
+    members = value.values() if kind is dict else value
+    if all(map(_SCALARS.__contains__, map(type, members))):
+        text = _flat_encoder(pad)(value)
+        return text[0] + pad + "  " + text[1:-1] + pad + text[-1]
+    inner = pad + "  "
+    if kind is dict:
+        return "{" + ",".join(f"{inner}{_json_string(k)}: {_dumps(v, inner)}"
+                              for k, v in sorted(value.items())) + pad + "}"
+    if set(map(type, value)) == {list} and set(
+        map(type, itertools.chain.from_iterable(value))
+    ) == {int}:
+        return _row_block(value, pad)
+    return "[" + ",".join(inner + _dumps(v, inner) for v in value) + pad + "]"
 
 
 def _report_text(report: dict) -> str:
-    """The report as indented JSON with sorted keys. Integer-row lists
-    put one row per line; a report without one is exactly
-    ``json.dumps(report, indent=2, sort_keys=True)``."""
-    rows = _row_lists(report.get("results", {}), set())
-    if not rows:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return _dumps(report, rows) + "\n"
+    """The report as indented JSON with sorted keys, integer-row blocks
+    one row per line."""
+    return _dumps(report) + "\n"
 
 
 def main(argv=None) -> int:

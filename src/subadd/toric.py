@@ -279,30 +279,37 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1)))]
 
 
-def _lattice_coset(ring: ToricRing, grid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Last coordinates of the lattice over each prefix x' of ``grid``
-    (an ``np.indices`` array): the coset z0 + step*Z, z0 = -1 where no
-    lattice point lies over x'. A triangular solve in the Hermite basis:
-    x' is a lattice prefix when every k_i = (x_i - sum over l < i of
-    k_l b_l[i]) / d_i is an integer, and then z0 = (sum of k_i b_i[n-1])
-    mod step, step = d_{n-1}. Entries above a pivot are below it, so
-    |k_i| <= 2^i side and every value is below 2^(n-1) side times the
-    largest basis entry, which must fit in int64."""
+def _lattice_coset(ring: ToricRing, side: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Last coordinates of the lattice over each prefix x' of the grid
+    [0, side)^(n-1), on open axes: returns (z, step, solvable), where z
+    and solvable broadcast against the grid (each axis of length 1 or
+    side) and the lattice points over a solvable x' are (x', z + step*Z),
+    step = d_{n-1}. A triangular solve in the Hermite basis: x' is a
+    lattice prefix when every k_i = (x_i - sum over l < i of k_l b_l[i])
+    / d_i is an integer, and then z = sum of k_i b_i[n-1]. Entries above
+    a pivot are below it, so a unit pivot d_i has zeros above it and k_i
+    = x_i stays one-dimensional; with unit prefix pivots z is one outer
+    sum of one vector per axis. Also |k_i| <= 2^i side, and every value
+    is below 2^(n-1) side times the largest basis entry, which must fit
+    in int64. Rank 1 has no axis, and no range of the side is built."""
     basis = ring.hermite_basis
-    side = max(grid.shape[1:], default=1)
-    if 2 ** (ring.rank - 1) * side * max(map(max, basis)) >= 2**62:
+    m = ring.rank - 1
+    if 2**m * (side if m else 1) * max(map(max, basis)) >= 2**62:
         raise OutOfScaleError("lattice coset values exceed 64-bit range; out of desk scale")
-    rest = list(grid) + [np.zeros(grid.shape[1:], dtype=np.int64)]
-    solvable = np.ones(grid.shape[1:], dtype=bool)
+    rest = [np.arange(side, dtype=np.int64).reshape((side,) + (1,) * (m - 1 - i)) for i in range(m)]
+    z = np.zeros((), dtype=np.int64)
+    solvable = np.ones((), dtype=bool)
     for i, row in enumerate(basis[:-1]):
         k = rest[i]
         if row[i] != 1:
-            solvable &= k % row[i] == 0
+            solvable = solvable & (k % row[i] == 0)
             k = k // row[i]
-        for j in range(i + 1, ring.rank):
+        for j in range(i + 1, m):
             if row[j]:
                 rest[j] = rest[j] - k * row[j]
-    return np.where(solvable, -rest[-1] % basis[-1][-1], -1), basis[-1][-1]
+        if row[m]:
+            z = z + k * row[m]
+    return z, basis[-1][-1], solvable
 
 
 # -- Newton polyhedra -------------------------------------------------------
@@ -430,9 +437,8 @@ def newton_polyhedron(ideal: "MonomialIdeal") -> NewtonPolyhedron:
     """
     rank = ideal.ring.rank
     facets = _newton_facets(rank, ideal.generators)
-    gens = np.array(ideal.generators, dtype=np.int64)
-    rows = np.array([(*a, b) for a, b in facets], dtype=np.int64)
-    tight = (gens @ rows[:, :-1].T == rows[:, -1]).astype(np.int64)
+    facet_rows = np.array([(*a, b) for a, b in facets], dtype=np.int64)
+    tight = (ideal.rows @ facet_rows[:, :-1].T == facet_rows[:, -1]).astype(np.int64)
     shared = tight @ tight.T
     covers = shared == shared.diagonal()[:, None]
     np.fill_diagonal(covers, False)
@@ -448,7 +454,10 @@ class MonomialIdeal:
 
     Minimality is semigroup divisibility: no stored generator is
     another generator plus a semigroup element. Since all generators
-    lie in M, this is plain componentwise dominance.
+    lie in M, this is plain componentwise dominance. ``generators`` are
+    tuples in (sum, coordinates) order and ``rows`` the same generators
+    as a read-only int64 array; an ideal keeps the form it was built
+    from and derives the other once, on first use.
     """
 
     def __init__(self, ring: ToricRing, generators: Iterable[Sequence[int]]):
@@ -463,18 +472,17 @@ class MonomialIdeal:
                     f"generator {g} is not in the semigroup"
                 )
         self.ring = ring
-        self.generators: tuple[tuple[int, ...], ...] = tuple(
-            sorted(_dominance_minimal(gens), key=lambda g: (sum(g), g))
-        )
+        self.generators = tuple(sorted(_dominance_minimal(gens), key=lambda g: (sum(g), g)))
         self._newton: NewtonPolyhedron | None = None
 
     @classmethod
     def _from_engine(cls, ring: ToricRing, rows: np.ndarray) -> "MonomialIdeal":
-        """The ideal of the engine's rows, already minimal and sorted.
-        They are re-checked in one array pass against the ring's
+        """The ideal of the engine's int64 rows, already minimal and
+        sorted. They are re-checked in one array pass against the ring's
         congruences, not the Hermite basis the engine solved in; a row
-        that fails is a fault of the program, not of the input."""
-        if rows.ndim != 2 or rows.shape[1] != ring.rank or not len(rows):
+        that fails is a fault of the program, not of the input. The ideal
+        keeps a read-only view of them and builds no tuples."""
+        if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != ring.rank or not len(rows):
             raise AssertionError(f"engine rows of shape {rows.shape}; internal bug")
         bad = (rows < 0).any(axis=1) | ~_lattice_mask(ring, rows)
         if bad.any():
@@ -482,9 +490,20 @@ class MonomialIdeal:
             raise AssertionError(f"engine row {row} is not in the semigroup; internal bug")
         ideal = cls.__new__(cls)
         ideal.ring = ring
-        ideal.generators = tuple(map(tuple, rows.tolist()))
+        ideal.rows = rows.view()
+        ideal.rows.flags.writeable = False
         ideal._newton = None
         return ideal
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = np.array(self.generators, dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
 
     @classmethod
     def unit(cls, ring: ToricRing) -> "MonomialIdeal":
@@ -585,9 +604,8 @@ def _box_minimal_impl(
     # every |K - q<a', x'>| below is at most q * row_mass * (side + shift) + top
     if q * row_mass * (side + shift) + top >= 2**61:
         raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
-    z0, step = _lattice_coset(ring, np.indices((side,) * m, dtype=np.int64))
-    ok = z0 >= 0
-    low = np.zeros(z0.shape, dtype=np.int64)
+    z, step, ok = _lattice_coset(ring, side)
+    low = np.zeros((side,) * m, dtype=np.int64)
     # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
     # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
     # K - q<a', x'> < 0; K folds in t, the shift and the strictness
@@ -612,10 +630,18 @@ def _box_minimal_impl(
             if d:
                 np.maximum(low, np.floor_divide(num, d, out=num), out=low)
             else:
-                ok &= num < 0
-    # Z[x']: the least coset value at or above the bound; side marks a
-    # column with no member in the box
-    col = np.where(ok, np.minimum(low + (z0 - low) % step, side), side)
+                ok = ok & (num < 0)
+    # Z[x'] = low + (z - low) % step = z - step * ((z - low) // step): the
+    # least coset value at or above the bound (floor division by a scalar
+    # is much faster than % in numpy); side marks a column with no member
+    # in the box, or a prefix off the lattice
+    col = low.copy()
+    np.subtract(z, col, out=col)
+    col //= step
+    col *= -step
+    col += z
+    np.minimum(col, side, out=col)
+    np.copyto(col, side, where=~ok)
     minimal = (col <= bound) & _staircase(col)[1]
     rows = np.column_stack([np.argwhere(minimal), col[minimal]])
     if not len(rows) or bool((rows == bound).any()):
@@ -741,9 +767,9 @@ class MonomialCertificate:
     def to_json_dict(self) -> dict:
         return {
             "exponents": [str(self.exponent_a), str(self.exponent_b)],
-            "j_product_generators": [list(g) for g in self.j_product.generators],
-            "j_a_generators": [list(g) for g in self.j_a.generators],
-            "j_b_generators": [list(g) for g in self.j_b.generators],
+            "j_product_generators": self.j_product.rows.tolist(),
+            "j_a_generators": self.j_a.rows.tolist(),
+            "j_b_generators": self.j_b.rows.tolist(),
             "verdict": self.verdict,
             "witness": list(self.witness) if self.witness else None,
             "failures": [list(g) for g in self.failures],
@@ -795,14 +821,12 @@ def _certify(
     staircase P[x'] = min of s_n over s' <= x' comes from scattering the
     sums into the prefix grid of ``j_product`` and ``_staircase``; g
     fails exactly when g_n < P[g']."""
-    ga = np.array(j_a.generators, dtype=np.int64)
-    gb = np.array(j_b.generators, dtype=np.int64)
+    ga, gb, gens = j_a.rows, j_b.rows, j_product.rows
     if len(ga) * len(gb) > _CELL_CAP:
         raise OutOfScaleError(
             f"{len(ga)} x {len(gb)} generator sums pass the cap; out of desk scale"
         )
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, a.ring.rank)
-    gens = np.array(j_product.generators, dtype=np.int64)
     side = gens[:, :-1].max(axis=0, initial=0) + 1
     # a leading axis of length one keeps rank 1 (no prefix) array-shaped
     low = np.full((1, *side.tolist()), np.iinfo(np.int64).max, dtype=np.int64)

@@ -1,10 +1,12 @@
 import builtins
+import functools
 import hashlib
 import json
 import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subadd import cli
@@ -260,6 +262,38 @@ def test_engine_fault_exits_4(capsys, break_engine, fault):
     assert report["error"].endswith("is not in the semigroup; internal bug")
 
 
+def test_shifted_engine_row_exits_4_on_the_rows_path(capsys, monkeypatch):
+    # engine output stays one array from the engine to the report: no
+    # generator tuple is built, and the array re-check still refuses a
+    # last row moved off the lattice by e_1
+    from subadd import toric as tc
+
+    def no_tuples(ideal):
+        raise AssertionError("engine rows were turned into tuples")
+
+    refuse = functools.cached_property(no_tuples)
+    refuse.__set_name__(tc.MonomialIdeal, "generators")
+    monkeypatch.setattr(tc.MonomialIdeal, "generators", refuse)
+    honest, shifted = tc._box_minimal_impl.__wrapped__, []
+
+    def engine(*args):
+        rows = honest(*args).copy()
+        rows[-1, 0] += 1
+        shifted.append(tuple(rows[-1].tolist()))
+        return rows
+
+    argv = ["multiplier", "--ring", str(DATA / "q41_ring.json"),
+            "--ideal", str(DATA / "q41_ideal.json"), "-c", "1"]
+    code, report = run(capsys, *argv)
+    assert code == 0 and len(report["results"]["multiplier_generators"]) > 1
+    monkeypatch.setattr(tc, "_box_minimal_impl", engine)
+    code, report = run(capsys, *argv)
+    assert code == 4
+    assert report["error"] == (
+        f"AssertionError: engine row {shifted[0]} is not in the semigroup; internal bug"
+    )
+
+
 def test_adjunction_fault_exits_4(capsys, monkeypatch):
     # K carried through the blowups with one increment off by one: the
     # adjunction sweep refuses the model and the check exits 4
@@ -510,6 +544,24 @@ _Q41_PAIR = _Q41 + ["--ideal-a", str(DATA / "q41_ideal.json"),
                     "--ideal-b", str(DATA / "q41_ideal.json")]
 
 
+def _layout(value, rows: bool, pad: str = "\n") -> str:
+    """The indent=2, sorted-key JSON layout built one value at a time;
+    with ``rows``, a list of int lists with at least one entry puts one
+    row per line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        return "{" + ",".join(
+            f"{inner}{json.dumps(k)}: {_layout(v, rows, inner)}" for k, v in sorted(value.items())
+        ) + pad + "}"
+    if isinstance(value, list) and value:
+        if rows and all(isinstance(r, list) for r in value) and any(value) and all(
+            type(x) is int for r in value for x in r
+        ):
+            return "[" + ",".join(inner + json.dumps(r) for r in value) + pad + "]"
+        return "[" + ",".join(inner + _layout(v, rows, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
 # (command line, whether the report holds a list of integer rows)
 @pytest.mark.parametrize(
     "argv, has_rows",
@@ -539,13 +591,18 @@ def test_report_text(tmp_path, monkeypatch, argv, has_rows):
     out = tmp_path / "report.json"
     main(argv + ["--out", str(out)])
     text = out.read_text(encoding="utf-8")
-    old = json.dumps(built[0], indent=2, sort_keys=True) + "\n"
+    # the multiplier verb hands its generators to the writer as an array
+    old = json.dumps(built[0], indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
     assert json.loads(text) == json.loads(old)
-    # the writer lays out everything but the rows as json.dumps does
-    assert cli._dumps(built[0], set()) + "\n" == old
+    # the writer lays out everything as json.dumps does, but puts each
+    # row of an integer-row list on its own line
+    assert _layout(json.loads(old), False) + "\n" == old
+    assert _layout(json.loads(old), True) + "\n" == text
     assert (text != old) == has_rows
     if argv[0] == "multiplier" and has_rows:
         gens = built[0]["results"]["multiplier_generators"]
+        assert gens.dtype == np.int64 and not gens.flags.writeable
+        gens = gens.tolist()
         rows = ",\n".join("      " + json.dumps(g) for g in gens)
         assert f'    "multiplier_generators": [\n{rows}\n    ]' in text
 

@@ -101,6 +101,22 @@ class TestToricRing:
         assert (ring.index, ring.coordinate_steps) == (index, (1, 1, 1))
         assert time.perf_counter() - t0 < 1.0
 
+    def test_hermite_basis_is_reduced(self):
+        # upper triangular with positive pivots, and every entry above a
+        # pivot in [0, pivot): the coset solve keeps a unit pivot's axis
+        # one-dimensional only because the entries above it are zero
+        rng = random.Random(1906)
+        for rank, count in itertools.product(range(1, 6), range(4)):
+            for _ in range(4):
+                congs = []
+                for _ in range(count):
+                    r = rng.randint(2, 12)
+                    congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
+                basis = tc.ToricRing(rank, congs).hermite_basis
+                for i, row in enumerate(basis):
+                    assert row[:i] == (0,) * i and row[i] > 0, basis
+                    assert all(0 <= basis[l][i] < row[i] for l in range(i)), basis
+
     def test_hermite_basis_refuses_past_desk_scale(self):
         with pytest.raises(tc.OutOfScaleError):
             tc.ToricRing(250).coordinate_steps
@@ -132,8 +148,11 @@ class TestLatticeCoset:
                     r = rng.randint(2, 6)
                     congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
                 ring = tc.ToricRing(rank, congs)
-                m, side = rank - 1, 5
-                z0, step = tc._lattice_coset(ring, np.indices((side,) * m, dtype=np.int64))
+                m, side = rank - 1, 9
+                z, step, solvable = tc._lattice_coset(ring, side)
+                assert all(n in (1, side) for n in np.shape(z) + np.shape(solvable))
+                z = np.broadcast_to(z, (side,) * m)
+                solvable = np.broadcast_to(solvable, (side,) * m)
                 period = math.lcm(*(r for _, r in congs)) if congs else 1
                 assert step == next(
                     z for z in range(1, period + 1) if ring.contains((0,) * m + (z,))
@@ -142,12 +161,41 @@ class TestLatticeCoset:
                     lowest = next(
                         (z for z in range(period) if ring.contains(prefix + (z,))), -1
                     )
-                    assert z0[prefix] == lowest, (ring, prefix)
+                    assert solvable[prefix] == (lowest >= 0), (ring, prefix)
+                    if lowest >= 0:
+                        assert z[prefix] % step == lowest, (ring, prefix)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [tc.ToricRing(3, [((1, 1, 0), 2)]), tc.ToricRing(4, [((0, 1, 1, 0), 3)])],
+        ids=["pivot-2-rank-3", "pivot-3-rank-4"],
+    )
+    def test_non_unit_prefix_pivot_masks_prefixes(self, ring):
+        # a prefix pivot above 1 leaves prefixes with no lattice point over
+        # them; with unit pivots the mask stays a 0-d True
+        side = 7
+        z, step, solvable = tc._lattice_coset(ring, side)
+        solvable = np.broadcast_to(solvable, (side,) * (ring.rank - 1))
+        assert solvable.any() and not solvable.all()
+        for prefix in itertools.product(range(side), repeat=ring.rank - 1):
+            over = [x for x in range(step) if ring.contains(prefix + (x,))]
+            assert bool(solvable[prefix]) == bool(over)
+        assert tc._lattice_coset(tc.cyclic_quotient_ring(41, (35, 28, 20)), side)[2].ndim == 0
+
+    def test_rank_1_builds_no_axis(self, monkeypatch):
+        # at rank 1 the side reaches 3^25, which no array could hold
+        def refuse(*args, **kwargs):
+            raise AssertionError("a range of the side was built")
+
+        ring = tc.ToricRing(1, [((1,), 3**25)])
+        monkeypatch.setattr(tc.np, "arange", refuse)
+        z, step, solvable = tc._lattice_coset(ring, 3**25 + 4)
+        assert (z.shape, int(z), step, solvable.shape, bool(solvable)) == ((), 0, 3**25, (), True)
 
     def test_int64_guard(self):
         ring = tc.ToricRing(1, [((1,), 10**21)])
         with pytest.raises(tc.OutOfScaleError, match="64-bit"):
-            tc._lattice_coset(ring, np.indices((), dtype=np.int64))
+            tc._lattice_coset(ring, 1)
 
 
 class TestStaircase:
@@ -180,6 +228,19 @@ class TestSortedRows:
 
 
 class TestMonomialIdeal:
+    def test_rows_and_generators_are_built_once_from_each_other(self, q41_ideal):
+        # an engine ideal holds the engine's array and builds tuples on
+        # first use; an ideal built from tuples derives its array once
+        j = tc.multiplier_monomials(q41_ideal, 1)
+        assert "generators" not in vars(j)
+        assert j.rows.dtype == np.int64 and not j.rows.flags.writeable
+        assert j.generators == tuple(map(tuple, j.rows.tolist()))
+        assert j.generators is j.generators
+        ideal = tc.MonomialIdeal(q41_ideal.ring, q41_ideal.generators)
+        assert "rows" not in vars(ideal)
+        assert ideal.rows is ideal.rows and not ideal.rows.flags.writeable
+        assert ideal.rows.tolist() == list(map(list, ideal.generators))
+
     def test_minimalization(self):
         ring = tc.ToricRing(2)
         ideal = tc.MonomialIdeal(ring, [(2, 0), (3, 1), (0, 2)])
@@ -569,6 +630,34 @@ class TestMultiplier:
         brute = brute_multiplier_members(ring, ideal.generators, c, bound)
         assert mine == dominance_minimal(brute)
         assert mine != {(0,) * ring.rank}
+
+    @pytest.mark.parametrize(
+        "ring, gens, exponents",
+        [
+            (
+                tc.ToricRing(3, [((1, 1, 0), 2)]),
+                [(4, 0, 0), (0, 4, 0), (1, 1, 3), (0, 0, 3)],
+                (Fraction(1, 2), Fraction(3, 2)),
+            ),
+            (
+                tc.ToricRing(4, [((0, 1, 1, 0), 3)]),
+                [(2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 2, 0)],
+                (Fraction(1, 2),),
+            ),
+        ],
+        ids=["pivot-2-rank-3", "pivot-3-rank-4"],
+    )
+    def test_engine_matches_fm_with_non_unit_prefix_pivot(self, ring, gens, exponents):
+        # Hermite pivots (1, 2, 1) and (1, 1, 3, 1): half or a third of
+        # the prefixes carry no lattice point, all coordinate steps are 1
+        assert ring.coordinate_steps == (1,) * ring.rank
+        ideal = tc.MonomialIdeal(ring, gens)
+        for c in exponents:
+            mine = tc.multiplier_monomials(ideal, c)
+            # every minimal generator lies below ceil(c M) + index + rank
+            bound = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank + 1
+            brute = brute_multiplier_members(ring, ideal.generators, c, bound)
+            assert set(mine.generators) == dominance_minimal(brute), c
 
     def test_redundant_congruences_give_the_same_generators(self):
         # (2,209,0) and (3,208,0) are 2 and 3 times (1,210,0) mod 211
