@@ -250,9 +250,9 @@ def _flat_encoder(pad: str):
 
 def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, except that an
-    integer-row block (a 2-d int array, or a list of int lists with at
-    least one entry: generator sets, matrices) puts one row per line.
-    A container of scalars is one call of the C encoder; only
+    integer-row block (a nonempty 2-d int array, or a list of int lists
+    with at least one entry: generator sets, matrices) puts one row per
+    line. A container of scalars is one call of the C encoder; only
     containers holding containers recurse."""
     kind = type(value)
     if kind is str:
@@ -260,9 +260,7 @@ def _dumps(value, pad: str = "\n") -> str:
     if kind is int:
         return int.__repr__(value)
     if kind is np.ndarray:
-        if value.ndim != 2 or value.dtype.kind not in "iu":
-            raise TypeError(f"no JSON form for an array of shape {value.shape}, {value.dtype}")
-        return _row_block(value, pad) if len(value) else "[]"
+        return _row_block(value, pad)
     if kind not in (dict, list) or not value:
         return json.dumps(value)
     members = value.values() if kind is dict else value

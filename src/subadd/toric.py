@@ -29,11 +29,13 @@ The engine behind minimal generators is a column-minimum search over
 the box [0, bound]^n, with bound = ceil(c M) + index + rank, M the
 largest generator coordinate. Membership is upward-closed, so over
 each prefix x' = (x_1..x_{n-1}) only the lowest member of the column
-can be minimal. One pass builds the grid of prefixes in
-[0, bound]^(n-1), gives each prefix the coset of its last coordinate,
-raises a per-prefix lower bound facet by facet (a broadcast sum of one
-row per axis, the rows of a block of facets built at once; facets with
-a_n = 0 only filter prefixes), and takes Z[x'], the least coset value at or above that bound. Points of M
+can be minimal. One pass over the grid of prefixes in [0, bound]^(n-1)
+gives each prefix the coset of its last coordinate (a triangular solve
+on open, broadcast axes, one range of the side per axis: with unit
+prefix pivots one outer sum), raises a per-prefix lower bound facet by
+facet (a broadcast sum of one row per axis, the rows of a block of
+facets built at once; facets with a_n = 0 only filter prefixes), and
+takes Z[x'], the least coset value at or above that bound. Points of M
 differ by a semigroup element exactly when they compare componentwise,
 so a column minimum is minimal exactly when it lies below the
 staircase of the columns under it: Z[x'] < P[x' - e_i] on every axis
@@ -47,9 +49,12 @@ outside J(a) J(b) when it is below the staircase of the pairwise sums.
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
 no floating point is used anywhere. The numpy arrays are int64, after
-a proof that every intermediate value fits; inputs past the grid cap,
-the facet-work cap, the facet block or that proof raise
-``OutOfScaleError``."""
+a proof that every intermediate value fits (coset values, for one,
+stay below 2^(n-1) side times the largest Hermite basis entry, which
+must be under 2^62); inputs past the grid cap, the facet-work cap, the
+facet block or that proof raise ``OutOfScaleError``. Engine output
+stays one int64 array from the engine through the ideal's ``rows`` to
+the report; generator tuples are built only on demand."""
 
 from __future__ import annotations
 
