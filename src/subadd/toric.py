@@ -301,7 +301,9 @@ def _lattice_coset(ring: ToricRing, side: int) -> tuple[np.ndarray, int, np.ndar
     m = ring.rank - 1
     if 2**m * (side if m else 1) * max(map(max, basis)) >= 2**62:
         raise OutOfScaleError("lattice coset values exceed 64-bit range; out of desk scale")
-    rest = [np.arange(side, dtype=np.int64).reshape((side,) + (1,) * (m - 1 - i)) for i in range(m)]
+    rest = [
+        np.arange(side, dtype=np.int64).reshape((side,) + (1,) * (m - 1 - i)) for i in range(m)
+    ]
     z = np.zeros((), dtype=np.int64)
     solvable = np.ones((), dtype=bool)
     for i, row in enumerate(basis[:-1]):
@@ -487,7 +489,7 @@ class MonomialIdeal:
         congruences, not the Hermite basis the engine solved in; a row
         that fails is a fault of the program, not of the input. The ideal
         keeps a read-only view of them and builds no tuples."""
-        if rows.dtype != np.int64 or rows.ndim != 2 or rows.shape[1] != ring.rank or not len(rows):
+        if rows.ndim != 2 or rows.shape[1] != ring.rank or not len(rows):
             raise AssertionError(f"engine rows of shape {rows.shape}; internal bug")
         bad = (rows < 0).any(axis=1) | ~_lattice_mask(ring, rows)
         if bad.any():
