@@ -619,6 +619,14 @@ _GOLDEN = [
     ("check2d_a1.json",
      ["check2d", "--model", "tests/data/a1_model.json",
       "--ideal-a", "tests/data/fa.json", "--ideal-b", "tests/data/fa.json"]),
+    # a rank-3 box of side 312 that the engine walks in many row blocks
+    ("multiplier_bigbox_c1_2.json",
+     ["multiplier", "--ring", "tests/data/bigbox_ring.json",
+      "--ideal", "tests/data/bigbox_ideal.json", "-c", "1/2"]),
+    # a rank-2 box of side 30012 whose staircase reaches zero at x_1 = 63
+    ("multiplier_long_rank2.json",
+     ["multiplier", "--ring", "tests/data/long_ring.json",
+      "--ideal", "tests/data/long_ideal.json", "-c", "1"]),
 ]
 
 
