@@ -46,6 +46,18 @@ index, and every minimal generator lies strictly inside the box. The
 same staircase yields the certificates: a generator of J(ab) lies
 outside J(a) J(b) when it is below the staircase of the pairwise sums.
 
+The pass walks the prefix grid in blocks of rows along the first axis,
+about 2^14 cells each (``_ENGINE_BLOCK``: 128 KiB per int64 array, so a
+box of explorer size is one block), and carries the last row of P from
+one block into the next. Every Z is >= 0, so a zero of P is final: if
+P[y'] = 0 and x' >= y' lies in a later row, then P[x' - e_1] <= P[y']
+= 0 <= Z[x'] and x' is not minimal. P falls along every axis, so after
+each block the later axes narrow to the bounding box of the cells of
+the block's last row with P > 0, and the pass ends when none is left.
+Each minimal (x', Z) gets the key (x_1 + .. + x_{n-1} + Z) side^(n-1)
+plus the flat index of x', and one int64 sort of the keys puts the rows
+in (sum, coordinates) order.
+
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
 no floating point is used anywhere. The numpy arrays are int64, after
@@ -60,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,6 +93,8 @@ _CELL_CAP = 8_000_000
 _FACET_WORK_CAP = 200_000_000
 # int64 entries per block of the facet enumeration (32 MiB)
 _FACET_BLOCK = 1 << 22
+# prefix cells per row block of the engine's pass (128 KiB per int64 array)
+_ENGINE_BLOCK = 1 << 14
 _WITNESS_SCAN_CAP = 2_000_000
 
 
@@ -242,16 +257,22 @@ def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
     return [tuple(map(int, r)) for r in buf[:count]]
 
 
-def _staircase(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _staircase(col: np.ndarray, carry: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The staircase of a prefix grid of column values: P[x'] = min of
     col[y'] over y' <= x', one running minimum per axis, and the mask
     of the x' with col[x'] < P[x' - e_i] on every axis i with x'_i >= 1.
     These are exactly the x' whose value lies below col[y'] for every
-    other y' <= x'; a 0-d grid (rank 1) keeps its one cell."""
+    other y' <= x'; a 0-d grid (rank 1) keeps its one cell. A ``carry``
+    is the staircase row just before the grid's first row on axis 0,
+    which P and the mask of that first row then take in."""
     low = col.copy()
+    if carry is not None:
+        np.minimum(low[:1], carry, out=low[:1])
     for axis in range(col.ndim):
         np.minimum.accumulate(low, axis=axis, out=low)
     keep = np.ones(col.shape, dtype=bool)
+    if carry is not None:
+        keep[:1] &= col[:1] < carry
     for axis in range(col.ndim):
         up = (slice(None),) * axis + (slice(1, None),)
         down = (slice(None),) * axis + (slice(None, -1),)
@@ -278,10 +299,17 @@ def _lattice_mask(ring: ToricRing, pts: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d integer array in (sum, coordinates) order, the
-    order of every generator tuple."""
-    return rows[np.lexsort((*rows.T[::-1], rows.sum(axis=1)))]
+def _rows_from_keys(keys: np.ndarray, side: int, m: int) -> np.ndarray:
+    """Engine rows (x', z) in (sum, coordinates) order from their keys
+    (x_1 + .. + x_n) side^m + (flat index of x' in [0, side)^m): one
+    prefix holds at most one row, so equal sums order by prefix, and
+    sorting the keys sorts the rows. Keys stay below (m + 1) side^(m+1),
+    which the cell cap keeps inside int64 (at m = 0 the engine's facet
+    and coset checks bound the side)."""
+    keys.sort()
+    total, flat = np.divmod(keys, side**m)
+    pos = np.unravel_index(flat, (side,) * m) if m else ()
+    return np.column_stack((*pos, total - sum(pos)))
 
 
 def _lattice_coset(ring: ToricRing, side: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -612,50 +640,86 @@ def _box_minimal_impl(
     if q * row_mass * (side + shift) + top >= 2**61:
         raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
     z, step, ok = _lattice_coset(ring, side)
-    low = np.zeros((side,) * m, dtype=np.int64)
     # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
     # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
     # K - q<a', x'> < 0; K folds in t, the shift and the strictness
     ds = [q * a[-1] for a in normals]
-    ks = [t - q * shift * sum(a) + d - (not strict) for a, t, d in zip(normals, thresholds, ds)]
-    # axis_rows[f, i] = -q a_i x_i over the side of axis i, with K folded
-    # into axis 0, built for a block of facets at a time: a block holds at
-    # most the cells of one grid (rank 1 has no axis and no row)
-    per = max(1, side ** (m - 1) // m if m else len(normals))
-    for lo in range(0, len(normals), per):
-        hi = lo + per
-        if m:
-            axis_rows = np.multiply.outer(
-                np.array([a[:-1] for a in normals[lo:hi]], dtype=np.int64) * -q,
-                np.arange(side, dtype=np.int64),
+    ks = np.array(
+        [t - q * shift * sum(a) + d - (not strict) for a, t, d in zip(normals, thresholds, ds)],
+        dtype=np.int64,
+    )
+    coefs = np.array([a[:-1] for a in normals], dtype=np.int64).reshape(len(normals), m) * -q
+    # a hit (x', Z) has key Z side^m + sum of x_i (side^m + side^(m-1-i))
+    cells = side**m
+    weights = [cells + side ** (m - 1 - i) for i in range(m)]
+    # rows [r0, r1) of axis 0 times [0, width) on every later axis: the
+    # widths shrink to the cells whose staircase is still above zero
+    widths, r0, carry, keys = [side] * m, 0, None, []
+    while True:
+        r1 = min(side, r0 + max(1, _ENGINE_BLOCK // math.prod(widths[1:])))
+        lens = [r1 - r0, *widths[1:]][:m]
+        low = np.zeros(lens, dtype=np.int64)
+        zb, okb = z, ok
+        if m and r1 - r0 < side:
+            # the block's window of each open axis, aligned from the last
+            cut = [slice(r0, r1), *map(slice, widths[1:])]
+            zb, okb = (
+                a[tuple(c if k > 1 else slice(None) for c, k in zip(cut[m - a.ndim:], a.shape))]
+                for a in (z, ok)
             )
-            axis_rows[:, 0] += np.array(ks[lo:hi], dtype=np.int64)[:, None]
-            nums = (reduce(np.add.outer, r) for r in axis_rows)
-        else:
-            nums = (np.array(k, dtype=np.int64) for k in ks)
-        for num, d in zip(nums, ds[lo:hi]):
-            if d:
-                np.maximum(low, np.floor_divide(num, d, out=num), out=low)
+        # axis_rows[f, i] = -q a_i x_i over the block's span of axis i, with
+        # K folded into axis 0, for a block of facets holding at most the
+        # block's cells (rank 1 has no axis and no row)
+        span = np.arange(max(lens, default=0), dtype=np.int64)
+        kb = ks + coefs[:, 0] * r0 if r0 else ks
+        per = max(1, low.size // max(1, m * len(span)))
+        for lo in range(0, len(normals), per):
+            hi = lo + per
+            if m:
+                axis_rows = np.multiply.outer(coefs[lo:hi], span)
+                axis_rows[:, 0] += kb[lo:hi, None]
+                cut = [axis_rows[:, i, :n] for i, n in enumerate(lens)]
+                nums = (reduce(np.add.outer, r) for r in zip(*cut))
             else:
-                ok = ok & (num < 0)
-    # Z[x'] = low + (z - low) % step = z - step * ((z - low) // step): the
-    # least coset value at or above the bound (floor division by a scalar
-    # is much faster than % in numpy); side marks a column with no member
-    # in the box, or a prefix off the lattice
-    col = low.copy()
-    np.subtract(z, col, out=col)
-    col //= step
-    col *= -step
-    col += z
-    np.minimum(col, side, out=col)
-    np.copyto(col, side, where=~ok)
-    minimal = (col <= bound) & _staircase(col)[1]
-    rows = np.column_stack([np.argwhere(minimal), col[minimal]])
+                nums = (np.array(k) for k in kb[lo:hi])
+            for num, d in zip(nums, ds[lo:hi]):
+                if d:
+                    np.maximum(low, np.floor_divide(num, d, out=num), out=low)
+                else:
+                    okb = okb & (num < 0)
+        # Z[x'] = low + (z - low) % step = z - step * ((z - low) // step): the
+        # least coset value at or above the bound (floor division by a scalar
+        # is much faster than % in numpy); side marks a column with no member
+        # in the box, or a prefix off the lattice
+        col = np.subtract(zb, low, out=low)
+        col //= step
+        col *= -step
+        col += zb
+        np.minimum(col, side, out=col)
+        np.copyto(col, side, where=~okb)
+        stair, keep = _staircase(col, carry)
+        # a kept cell lies below some staircase value (at most side) unless
+        # it is the grid's origin, the one cell that can keep the mark side
+        keep[(0,) * m] &= col[(0,) * m] <= bound
+        hits = np.flatnonzero(keep)
+        pos = np.unravel_index(hits, lens) if m else ()
+        key = col.reshape(-1)[hits] * cells + (r0 * weights[0] if r0 else 0)
+        keys.append(sum((x * w for x, w in zip(pos, weights)), key))
+        if not m or r1 == side:
+            break
+        # every column value is >= 0, so no cell at or above a zero of
+        # the staircase in a later row is minimal
+        live = np.argwhere(stair[-1] > 0)
+        if not len(live):
+            break
+        widths[1:] = (live.max(axis=0) + 1).tolist()
+        carry = stair[-1][tuple(slice(w) for w in widths[1:])]
+        r0 = r1
+    rows = _rows_from_keys(np.concatenate(keys), side, m)
     if not len(rows) or bool((rows == bound).any()):
         raise AssertionError(
             f"engine box of bound {bound} is too small for its generators; internal bug"
         )
-    rows = _sorted_rows(rows)
     rows.flags.writeable = False
     return rows
 
@@ -840,7 +904,7 @@ def _certify(
     inside = sums[(sums[:, :-1] < side).all(axis=1)]
     np.minimum.at(low, (np.zeros(len(inside), dtype=np.int64), *inside[:, :-1].T), inside[:, -1])
     lowest = _staircase(low)[0][(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
-    failures = [g for g, f in zip(j_product.generators, gens[:, -1] < lowest) if f]
+    failures = tuple(map(tuple, gens[gens[:, -1] < lowest].tolist()))
     witness = failures[0] if failures else None
     exhaustive_recheck = False
     if witness is not None:
@@ -868,7 +932,7 @@ def _certify(
         j_b=j_b,
         verdict=witness is None,
         witness=witness,
-        failures=tuple(failures),
+        failures=failures,
         exhaustive_recheck=exhaustive_recheck,
     )
 
@@ -1012,14 +1076,16 @@ def _ring_is_gorenstein(ring: ToricRing) -> bool:
 def _sample_semigroup_point(
     rng: random.Random, ring: ToricRing, cap: int
 ) -> tuple[int, ...]:
+    """A nonzero semigroup point with coordinates at most ``cap``, by
+    rejection. ``rng.randrange(cap + 1)`` makes the draw of
+    ``rng.randint(0, cap)``, and the ring's congruences, whose weights
+    are already reduced, are tested without ``ToricRing.contains``."""
+    draw, top, coords, congs = rng.randrange, cap + 1, range(ring.rank), ring.congruences
     for _ in range(400):
-        v = tuple(rng.randint(0, cap) for _ in range(ring.rank))
-        if any(v) and ring.contains(v):
+        v = tuple([draw(top) for _ in coords])
+        if any(v) and not any(sum(map(operator.mul, w, v)) % r for w, r in congs):
             return v
-    fallback = tuple(
-        ring.index if i == 0 else 0 for i in range(ring.rank)
-    )
-    return fallback
+    return tuple(ring.index if i == 0 else 0 for i in range(ring.rank))
 
 
 def _sample_ideal(rng: random.Random, ring: ToricRing, config: ExploreConfig) -> MonomialIdeal:

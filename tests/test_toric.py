@@ -219,12 +219,20 @@ class TestStaircase:
 class TestSortedRows:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_key_sort(self, rank):
-        # entries in [-2, 3] give many equal sums and repeated rows
+        # prefixes in [0, 4) and last entries in [-2, 3] give many equal
+        # sums and repeated rows; the key is built here, one row at a time
         rng = np.random.default_rng(905 + rank)
+        side, m = 4, rank - 1
         for count in (0, 1, 7, 300):
-            rows = np.asarray(rng.integers(-2, 4, size=(count, rank)), dtype=np.int64)
+            rows = np.column_stack([
+                rng.integers(0, side, size=(count, m)), rng.integers(-2, 4, size=(count, 1))
+            ]).astype(np.int64)
+            keys = [sum(g) * side**m + sum(x * side ** (m - 1 - i) for i, x in enumerate(g[:m]))
+                    for g in map(tuple, rows.tolist())]
+            out = tc._rows_from_keys(np.array(keys, dtype=np.int64), side, m)
             expected = sorted(map(tuple, rows.tolist()), key=lambda g: (sum(g), g))
-            assert list(map(tuple, tc._sorted_rows(rows).tolist())) == expected
+            assert out.shape == (count, rank)
+            assert list(map(tuple, out.tolist())) == expected
 
 
 class TestMonomialIdeal:
@@ -729,6 +737,67 @@ class TestMultiplier:
             tracemalloc.stop()
         assert len(facets) == 40 and len(rows) > 10_000
         assert peak < 12 * 8 * (start + 1), peak / (8 * (start + 1))
+
+    @pytest.mark.parametrize("budget", [1, 6])
+    @pytest.mark.parametrize(
+        "ring, gens, c, stops, flat",
+        [
+            (
+                tc.cyclic_quotient_ring(3, (1, 2)),
+                [(3, 0), (0, 12), (1, 4)],
+                Fraction(3, 2),
+                True,
+                False,
+            ),
+            (
+                tc.ToricRing(3, [((1, 1, 0), 2)]),
+                [(4, 0, 0), (0, 4, 0), (1, 1, 3), (0, 0, 3)],
+                Fraction(3, 2),
+                True,
+                False,
+            ),
+            (tc.ToricRing(3), [(2, 0, 0), (0, 3, 0)], Fraction(5, 2), True, True),
+            (
+                tc.ToricRing(4, [((1, 1, 0, 0), 2), ((0, 1, 1, 0), 2)]),
+                [(2, 0, 0, 2), (0, 2, 2, 2)],
+                Fraction(1),
+                False,
+                True,
+            ),
+        ],
+        ids=["rank-2", "rank-3-pivot-2", "rank-3-flat-facet", "rank-4-flat-facets"],
+    )
+    def test_row_blocks_match_one_block_and_fm(
+        self, monkeypatch, budget, ring, gens, c, stops, flat
+    ):
+        # a budget of a few cells walks the grid in blocks of one or a few
+        # rows, which must give the one-block pass's rows in its order; a
+        # flat facet (a_n = 0, as 3x + 2y >= 6) only filters prefixes
+        ideal = tc.MonomialIdeal(ring, gens)
+        side = tc._multiplier_start(ideal, c) + 1
+        facets = ideal.newton_polyhedron().facets
+        assert any(a[-1] == 0 and b > 0 for a, b in facets) == flat
+        blocks = []
+        staircase = tc._staircase
+
+        def spy(col, carry=None):
+            blocks.append(col.shape)
+            return staircase(col, carry)
+
+        def rows(cells):
+            monkeypatch.setattr(tc, "_ENGINE_BLOCK", cells)
+            tc._box_minimal_impl.cache_clear()
+            return tc.multiplier_monomials(ideal, c).rows
+
+        one = rows(side**ring.rank)
+        monkeypatch.setattr(tc, "_staircase", spy)
+        many = rows(budget)
+        tc._box_minimal_impl.cache_clear()
+        assert len(blocks) > 1 and many.tolist() == one.tolist()
+        brute = brute_multiplier_members(ring, ideal.generators, c, side)
+        assert set(map(tuple, one.tolist())) == dominance_minimal(brute)
+        # a pass that stops early leaves rows of axis 0 unvisited
+        assert (sum(shape[0] for shape in blocks) < side) == stops
 
     def test_cell_cap_raises_out_of_scale(self, monkeypatch):
         monkeypatch.setattr(tc, "_CELL_CAP", 100)
