@@ -31,8 +31,8 @@ largest generator coordinate. Membership is upward-closed, so over
 each prefix x' = (x_1..x_{n-1}) only the lowest member of the column
 can be minimal. One pass over the grid of prefixes in [0, bound]^(n-1)
 gives each prefix the coset of its last coordinate (a triangular solve
-on open, broadcast axes, one range of the side per axis: with unit
-prefix pivots one outer sum), raises a per-prefix lower bound facet by
+on open, broadcast axes, one range per axis of a block of the grid: with
+unit prefix pivots one outer sum), raises a per-prefix lower bound facet by
 facet (a broadcast sum of one row per axis, the rows of a block of
 facets built at once; facets with a_n = 0 only filter prefixes), and
 takes Z[x'], the least coset value at or above that bound. Points of M
@@ -312,25 +312,29 @@ def _rows_from_keys(keys: np.ndarray, side: int, m: int) -> np.ndarray:
     return np.column_stack((*pos, total - sum(pos)))
 
 
-def _lattice_coset(ring: ToricRing, side: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Last coordinates of the lattice over each prefix x' of the grid
-    [0, side)^(n-1), on open axes: returns (z, step, solvable), where z
-    and solvable broadcast against the grid (each axis of length 1 or
-    side) and the lattice points over a solvable x' are (x', z + step*Z),
-    step = d_{n-1}. A triangular solve in the Hermite basis: x' is a
-    lattice prefix when every k_i = (x_i - sum over l < i of k_l b_l[i])
-    / d_i is an integer, and then z = sum of k_i b_i[n-1]. Entries above
-    a pivot are below it, so a unit pivot d_i has zeros above it and k_i
-    = x_i stays one-dimensional; with unit prefix pivots z is one outer
-    sum of one vector per axis. Also |k_i| <= 2^i side, and every value
-    is below 2^(n-1) side times the largest basis entry, which must fit
-    in int64. Rank 1 has no axis, and no range of the side is built."""
+def _lattice_coset(
+    ring: ToricRing, spans: Sequence[range]
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Last coordinates of the lattice over each prefix x' of the box
+    spans[0] x .. x spans[n-2], one range per prefix axis, on open axes:
+    returns (z, step, solvable), where z and solvable broadcast against
+    the box (each axis of length 1 or of its span) and the lattice points
+    over a solvable x' are (x', z + step*Z), step = d_{n-1}. A triangular
+    solve in the Hermite basis: x' is a lattice prefix when every k_i =
+    (x_i - sum over l < i of k_l b_l[i]) / d_i is an integer, and then z =
+    sum of k_i b_i[n-1]. Entries above a pivot are below it, so a unit
+    pivot d_i has zeros above it and k_i = x_i stays one-dimensional; with
+    unit prefix pivots z is one outer sum of one vector per axis. With
+    every x_i below top, |k_i| <= 2^i top, and every value is below
+    2^(n-1) top times the largest basis entry, which must fit in int64.
+    Rank 1 has no axis (top is 1), and no range is built."""
     basis = ring.hermite_basis
     m = ring.rank - 1
-    if 2**m * (side if m else 1) * max(map(max, basis)) >= 2**62:
+    if 2**m * max((r.stop for r in spans), default=1) * max(map(max, basis)) >= 2**62:
         raise OutOfScaleError("lattice coset values exceed 64-bit range; out of desk scale")
     rest = [
-        np.arange(side, dtype=np.int64).reshape((side,) + (1,) * (m - 1 - i)) for i in range(m)
+        np.arange(r.start, r.stop, dtype=np.int64).reshape((len(r),) + (1,) * (m - 1 - i))
+        for i, r in enumerate(spans)
     ]
     z = np.zeros((), dtype=np.int64)
     solvable = np.ones((), dtype=bool)
@@ -639,7 +643,6 @@ def _box_minimal_impl(
     # every |K - q<a', x'>| below is at most q * row_mass * (side + shift) + top
     if q * row_mass * (side + shift) + top >= 2**61:
         raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
-    z, step, ok = _lattice_coset(ring, side)
     # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
     # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
     # K - q<a', x'> < 0; K folds in t, the shift and the strictness
@@ -657,16 +660,10 @@ def _box_minimal_impl(
     widths, r0, carry, keys = [side] * m, 0, None, []
     while True:
         r1 = min(side, r0 + max(1, _ENGINE_BLOCK // math.prod(widths[1:])))
-        lens = [r1 - r0, *widths[1:]][:m]
+        spans = [range(r0, r1), *map(range, widths[1:])][:m]
+        lens = list(map(len, spans))
         low = np.zeros(lens, dtype=np.int64)
-        zb, okb = z, ok
-        if m and r1 - r0 < side:
-            # the block's window of each open axis, aligned from the last
-            cut = [slice(r0, r1), *map(slice, widths[1:])]
-            zb, okb = (
-                a[tuple(c if k > 1 else slice(None) for c, k in zip(cut[m - a.ndim:], a.shape))]
-                for a in (z, ok)
-            )
+        z, step, ok = _lattice_coset(ring, spans)
         # axis_rows[f, i] = -q a_i x_i over the block's span of axis i, with
         # K folded into axis 0, for a block of facets holding at most the
         # block's cells (rank 1 has no axis and no row)
@@ -686,17 +683,17 @@ def _box_minimal_impl(
                 if d:
                     np.maximum(low, np.floor_divide(num, d, out=num), out=low)
                 else:
-                    okb = okb & (num < 0)
+                    ok = ok & (num < 0)
         # Z[x'] = low + (z - low) % step = z - step * ((z - low) // step): the
         # least coset value at or above the bound (floor division by a scalar
         # is much faster than % in numpy); side marks a column with no member
         # in the box, or a prefix off the lattice
-        col = np.subtract(zb, low, out=low)
+        col = np.subtract(z, low, out=low)
         col //= step
         col *= -step
-        col += zb
+        col += z
         np.minimum(col, side, out=col)
-        np.copyto(col, side, where=~okb)
+        np.copyto(col, side, where=~ok)
         stair, keep = _staircase(col, carry)
         # a kept cell lies below some staircase value (at most side) unless
         # it is the grid's origin, the one cell that can keep the mark side
@@ -891,7 +888,8 @@ def _certify(
     J(a^ca) J(b^cb), generated by the pairwise sums s (all in M). The
     staircase P[x'] = min of s_n over s' <= x' comes from scattering the
     sums into the prefix grid of ``j_product`` and ``_staircase``; g
-    fails exactly when g_n < P[g']."""
+    fails exactly when g_n < P[g']. As in the engine, P = 0 is final:
+    the grid stops on each axis at the first sum (t e_i, 0)."""
     ga, gb, gens = j_a.rows, j_b.rows, j_product.rows
     if len(ga) * len(gb) > _CELL_CAP:
         raise OutOfScaleError(
@@ -899,10 +897,17 @@ def _certify(
         )
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, a.ring.rank)
     side = gens[:, :-1].max(axis=0, initial=0) + 1
+    # every s_n is >= 0, so P = 0 at and past a sum (t e_i, 0) on any axis
+    # i, and no generator there fails: the grid stops before such sums
+    zero = sums[sums[:, -1] == 0, :-1]
+    for i in range(len(side)):
+        on_axis = (np.delete(zero, i, axis=1) == 0).all(axis=1)
+        side[i] = zero[on_axis, i].min(initial=side[i])
     # a leading axis of length one keeps rank 1 (no prefix) array-shaped
     low = np.full((1, *side.tolist()), np.iinfo(np.int64).max, dtype=np.int64)
     inside = sums[(sums[:, :-1] < side).all(axis=1)]
     np.minimum.at(low, (np.zeros(len(inside), dtype=np.int64), *inside[:, :-1].T), inside[:, -1])
+    gens = gens[(gens[:, :-1] < side).all(axis=1)]
     lowest = _staircase(low)[0][(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
     failures = tuple(map(tuple, gens[gens[:, -1] < lowest].tolist()))
     witness = failures[0] if failures else None

@@ -148,22 +148,29 @@ class TestLatticeCoset:
                     r = rng.randint(2, 6)
                     congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
                 ring = tc.ToricRing(rank, congs)
-                m, side = rank - 1, 9
-                z, step, solvable = tc._lattice_coset(ring, side)
-                assert all(n in (1, side) for n in np.shape(z) + np.shape(solvable))
-                z = np.broadcast_to(z, (side,) * m)
-                solvable = np.broadcast_to(solvable, (side,) * m)
+                m = rank - 1
                 period = math.lcm(*(r for _, r in congs)) if congs else 1
-                assert step == next(
-                    z for z in range(1, period + 1) if ring.contains((0,) * m + (z,))
-                )
-                for prefix in itertools.product(range(side), repeat=m):
-                    lowest = next(
-                        (z for z in range(period) if ring.contains(prefix + (z,))), -1
+                # the whole grid, and a window of it as one engine block sees
+                for spans in ([range(9)] * m, [range(4, 9), *[range(5)] * (m - 1)][:m]):
+                    z, step, solvable = tc._lattice_coset(ring, spans)
+                    lens = tuple(map(len, spans))
+                    assert all(n in (1, k) for n, k in zip(np.shape(z), lens[m - np.ndim(z):]))
+                    assert all(
+                        n in (1, k) for n, k in zip(np.shape(solvable), lens[m - np.ndim(solvable):])
                     )
-                    assert solvable[prefix] == (lowest >= 0), (ring, prefix)
-                    if lowest >= 0:
-                        assert z[prefix] % step == lowest, (ring, prefix)
+                    z = np.broadcast_to(z, lens)
+                    solvable = np.broadcast_to(solvable, lens)
+                    assert step == next(
+                        z for z in range(1, period + 1) if ring.contains((0,) * m + (z,))
+                    )
+                    for cell in itertools.product(*map(range, lens)):
+                        prefix = tuple(r[i] for r, i in zip(spans, cell))
+                        lowest = next(
+                            (z for z in range(period) if ring.contains(prefix + (z,))), -1
+                        )
+                        assert solvable[cell] == (lowest >= 0), (ring, prefix)
+                        if lowest >= 0:
+                            assert z[cell] % step == lowest, (ring, prefix)
 
     @pytest.mark.parametrize(
         "ring",
@@ -174,13 +181,14 @@ class TestLatticeCoset:
         # a prefix pivot above 1 leaves prefixes with no lattice point over
         # them; with unit pivots the mask stays a 0-d True
         side = 7
-        z, step, solvable = tc._lattice_coset(ring, side)
+        z, step, solvable = tc._lattice_coset(ring, [range(side)] * (ring.rank - 1))
         solvable = np.broadcast_to(solvable, (side,) * (ring.rank - 1))
         assert solvable.any() and not solvable.all()
         for prefix in itertools.product(range(side), repeat=ring.rank - 1):
             over = [x for x in range(step) if ring.contains(prefix + (x,))]
             assert bool(solvable[prefix]) == bool(over)
-        assert tc._lattice_coset(tc.cyclic_quotient_ring(41, (35, 28, 20)), side)[2].ndim == 0
+        q41 = tc.cyclic_quotient_ring(41, (35, 28, 20))
+        assert tc._lattice_coset(q41, [range(side)] * 2)[2].ndim == 0
 
     def test_rank_1_builds_no_axis(self, monkeypatch):
         # at rank 1 the side reaches 3^25, which no array could hold
@@ -189,13 +197,13 @@ class TestLatticeCoset:
 
         ring = tc.ToricRing(1, [((1,), 3**25)])
         monkeypatch.setattr(tc.np, "arange", refuse)
-        z, step, solvable = tc._lattice_coset(ring, 3**25 + 4)
+        z, step, solvable = tc._lattice_coset(ring, [])
         assert (z.shape, int(z), step, solvable.shape, bool(solvable)) == ((), 0, 3**25, (), True)
 
     def test_int64_guard(self):
         ring = tc.ToricRing(1, [((1,), 10**21)])
         with pytest.raises(tc.OutOfScaleError, match="64-bit"):
-            tc._lattice_coset(ring, 1)
+            tc._lattice_coset(ring, [])
 
 
 class TestStaircase:
