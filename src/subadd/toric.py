@@ -56,7 +56,9 @@ each block the later axes narrow to the bounding box of the cells of
 the block's last row with P > 0, and the pass ends when none is left.
 Each minimal (x', Z) gets the key (x_1 + .. + x_{n-1} + Z) side^(n-1)
 plus the flat index of x', and one int64 sort of the keys puts the rows
-in (sum, coordinates) order.
+in (sum, coordinates) order. The certificates' staircase reaches zero
+the same way, so their grid stops on each axis at the first pairwise
+sum (t e_i, 0).
 
 Everything is exact: facet data are primitive integer vectors, interior
 tests compare integers after clearing the exponent's denominator, and
@@ -299,16 +301,22 @@ def _lattice_mask(ring: ToricRing, pts: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _row_keys(total: np.ndarray, pos: tuple[np.ndarray, ...], side: int) -> np.ndarray:
+    """Keys total side^m + (flat index of x' in [0, side)^m) of engine
+    rows (x', z) with prefix columns ``pos`` and row sums ``total``, which
+    must lie in [0, (m + 1) side). One prefix holds at most one row, so
+    equal sums order by prefix, and sorting the keys sorts the rows in
+    (sum, coordinates) order. Keys stay below (m + 1) side^(m+1), which
+    the cell cap keeps inside int64 (at m = 0 the engine's facet and
+    coset checks bound the side)."""
+    return np.ravel_multi_index((total, *pos), ((len(pos) + 1) * side,) + (side,) * len(pos))
+
+
 def _rows_from_keys(keys: np.ndarray, side: int, m: int) -> np.ndarray:
-    """Engine rows (x', z) in (sum, coordinates) order from their keys
-    (x_1 + .. + x_n) side^m + (flat index of x' in [0, side)^m): one
-    prefix holds at most one row, so equal sums order by prefix, and
-    sorting the keys sorts the rows. Keys stay below (m + 1) side^(m+1),
-    which the cell cap keeps inside int64 (at m = 0 the engine's facet
-    and coset checks bound the side)."""
+    """The rows of ``_row_keys`` keys, sorted: one int64 sort, then one
+    unravel into row sums and prefixes."""
     keys.sort()
-    total, flat = np.divmod(keys, side**m)
-    pos = np.unravel_index(flat, (side,) * m) if m else ()
+    total, *pos = np.unravel_index(keys, ((m + 1) * side,) + (side,) * m)
     return np.column_stack((*pos, total - sum(pos)))
 
 
@@ -337,7 +345,7 @@ def _lattice_coset(
         for i, r in enumerate(spans)
     ]
     z = np.zeros((), dtype=np.int64)
-    solvable = np.ones((), dtype=bool)
+    solvable = np.array(True)
     for i, row in enumerate(basis[:-1]):
         k = rest[i]
         if row[i] != 1:
@@ -646,15 +654,11 @@ def _box_minimal_impl(
     # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
     # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
     # K - q<a', x'> < 0; K folds in t, the shift and the strictness
-    ds = [q * a[-1] for a in normals]
-    ks = np.array(
-        [t - q * shift * sum(a) + d - (not strict) for a, t, d in zip(normals, thresholds, ds)],
-        dtype=np.int64,
-    )
-    coefs = np.array([a[:-1] for a in normals], dtype=np.int64).reshape(len(normals), m) * -q
-    # a hit (x', Z) has key Z side^m + sum of x_i (side^m + side^(m-1-i))
-    cells = side**m
-    weights = [cells + side ** (m - 1 - i) for i in range(m)]
+    scaled = np.array(normals, dtype=np.int64).reshape(len(normals), m + 1) * q
+    ds = scaled[:, -1].tolist()
+    ks = np.array(thresholds, dtype=np.int64) - shift * scaled.sum(axis=1) + scaled[:, -1]
+    ks -= not strict
+    coefs = -scaled[:, :-1]
     # rows [r0, r1) of axis 0 times [0, width) on every later axis: the
     # widths shrink to the cells whose staircase is still above zero
     widths, r0, carry, keys = [side] * m, 0, None, []
@@ -700,8 +704,9 @@ def _box_minimal_impl(
         keep[(0,) * m] &= col[(0,) * m] <= bound
         hits = np.flatnonzero(keep)
         pos = np.unravel_index(hits, lens) if m else ()
-        key = col.reshape(-1)[hits] * cells + (r0 * weights[0] if r0 else 0)
-        keys.append(sum((x * w for x, w in zip(pos, weights)), key))
+        if r0:
+            np.add(pos[0], r0, out=pos[0])
+        keys.append(_row_keys(col.reshape(-1)[hits] + sum(pos), pos, side))
         if not m or r1 == side:
             break
         # every column value is >= 0, so no cell at or above a zero of
@@ -713,7 +718,7 @@ def _box_minimal_impl(
         carry = stair[-1][tuple(slice(w) for w in widths[1:])]
         r0 = r1
     rows = _rows_from_keys(np.concatenate(keys), side, m)
-    if not len(rows) or bool((rows == bound).any()):
+    if not len(rows) or rows.max() >= bound:
         raise AssertionError(
             f"engine box of bound {bound} is too small for its generators; internal bug"
         )
@@ -898,17 +903,18 @@ def _certify(
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, a.ring.rank)
     side = gens[:, :-1].max(axis=0, initial=0) + 1
     # every s_n is >= 0, so P = 0 at and past a sum (t e_i, 0) on any axis
-    # i, and no generator there fails: the grid stops before such sums
+    # i: the grid stops at the first such sum, and the generators past it
+    # read P there
     zero = sums[sums[:, -1] == 0, :-1]
-    for i in range(len(side)):
-        on_axis = (np.delete(zero, i, axis=1) == 0).all(axis=1)
-        side[i] = zero[on_axis, i].min(initial=side[i])
+    axial = zero[(zero != 0).sum(axis=1) <= 1]
+    if axial.size:
+        np.minimum.at(side, axial.argmax(axis=1), axial.sum(axis=1) + 1)
     # a leading axis of length one keeps rank 1 (no prefix) array-shaped
     low = np.full((1, *side.tolist()), np.iinfo(np.int64).max, dtype=np.int64)
     inside = sums[(sums[:, :-1] < side).all(axis=1)]
     np.minimum.at(low, (np.zeros(len(inside), dtype=np.int64), *inside[:, :-1].T), inside[:, -1])
-    gens = gens[(gens[:, :-1] < side).all(axis=1)]
-    lowest = _staircase(low)[0][(np.zeros(len(gens), dtype=np.int64), *gens[:, :-1].T)]
+    at = np.minimum(gens[:, :-1], side - 1)
+    lowest = _staircase(low)[0][(np.zeros(len(gens), dtype=np.int64), *at.T)]
     failures = tuple(map(tuple, gens[gens[:, -1] < lowest].tolist()))
     witness = failures[0] if failures else None
     exhaustive_recheck = False

@@ -227,16 +227,16 @@ class TestStaircase:
 class TestSortedRows:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_key_sort(self, rank):
-        # prefixes in [0, 4) and last entries in [-2, 3] give many equal
-        # sums and repeated rows; the key is built here, one row at a time
+        # entries in [0, 4) give many equal sums and repeated rows; the
+        # keys are built here, one row at a time, and by the engine's encoder
         rng = np.random.default_rng(905 + rank)
         side, m = 4, rank - 1
         for count in (0, 1, 7, 300):
-            rows = np.column_stack([
-                rng.integers(0, side, size=(count, m)), rng.integers(-2, 4, size=(count, 1))
-            ]).astype(np.int64)
+            rows = np.asarray(rng.integers(0, side, size=(count, rank)), dtype=np.int64)
             keys = [sum(g) * side**m + sum(x * side ** (m - 1 - i) for i, x in enumerate(g[:m]))
                     for g in map(tuple, rows.tolist())]
+            pos = tuple(rows[:, :m].T)
+            assert tc._row_keys(rows.sum(axis=1), pos, side).tolist() == keys
             out = tc._rows_from_keys(np.array(keys, dtype=np.int64), side, m)
             expected = sorted(map(tuple, rows.tolist()), key=lambda g: (sum(g), g))
             assert out.shape == (count, rank)
