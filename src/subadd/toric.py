@@ -272,7 +272,8 @@ def _staircase(col: np.ndarray, carry: np.ndarray | None = None) -> tuple[np.nda
         np.minimum(low[:1], carry, out=low[:1])
     for axis in range(col.ndim):
         np.minimum.accumulate(low, axis=axis, out=low)
-    keep = np.ones(col.shape, dtype=bool)
+    keep = np.empty(col.shape, dtype=bool)
+    keep.fill(True)
     if carry is not None:
         keep[:1] &= col[:1] < carry
     for axis in range(col.ndim):
@@ -317,7 +318,10 @@ def _rows_from_keys(keys: np.ndarray, side: int, m: int) -> np.ndarray:
     unravel into row sums and prefixes."""
     keys.sort()
     total, *pos = np.unravel_index(keys, ((m + 1) * side,) + (side,) * m)
-    return np.column_stack((*pos, total - sum(pos)))
+    rows = np.empty((len(keys), m + 1), dtype=np.int64)
+    for i, x in enumerate((*pos, total - sum(pos))):
+        rows[:, i] = x
+    return rows
 
 
 def _lattice_coset(
