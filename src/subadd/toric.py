@@ -272,6 +272,7 @@ def _staircase(col: np.ndarray, carry: np.ndarray | None = None) -> tuple[np.nda
         np.minimum(low[:1], carry, out=low[:1])
     for axis in range(col.ndim):
         np.minimum.accumulate(low, axis=axis, out=low)
+    # empty plus fill: np.ones costs more on the small grids of one-block passes
     keep = np.empty(col.shape, dtype=bool)
     keep.fill(True)
     if carry is not None:
@@ -324,9 +325,7 @@ def _rows_from_keys(keys: np.ndarray, side: int, m: int) -> np.ndarray:
     return rows
 
 
-def _lattice_coset(
-    ring: ToricRing, spans: Sequence[range]
-) -> tuple[np.ndarray, int, np.ndarray]:
+def _lattice_coset(ring: ToricRing, spans: Sequence[range]) -> tuple[np.ndarray, int, np.ndarray]:
     """Last coordinates of the lattice over each prefix x' of the box
     spans[0] x .. x spans[n-2], one range per prefix axis, on open axes:
     returns (z, step, solvable), where z and solvable broadcast against
