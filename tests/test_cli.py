@@ -627,6 +627,11 @@ _GOLDEN = [
     ("multiplier_long_rank2.json",
      ["multiplier", "--ring", "tests/data/long_ring.json",
       "--ideal", "tests/data/long_ideal.json", "-c", "1"]),
+    # fractional exponents: the mixed ideal's exponent is 1/6
+    ("strongmono_q41_c1_2_d1_3.json",
+     ["strongmono", "--ring", "tests/data/q41_ring.json",
+      "--ideal-a", "tests/data/q41_ideal.json", "--ideal-b", "tests/data/q41_ideal.json",
+      "-c", "1/2", "-d", "1/3"]),
 ]
 
 
