@@ -247,7 +247,7 @@ class ResolutionModel:
                 raise ModelError(f"duplicate curve name {c.name!r}")
             if c.kind not in (EXCEPTIONAL, MARKED):
                 raise ModelError(f"unknown curve kind {c.kind!r}")
-            if not isinstance(c.self_intersection, int):
+            if type(c.self_intersection) is not int:
                 raise ModelError("self-intersections must be integers")
             names.append(c.name)
             kind[c.name] = c.kind
@@ -591,7 +591,7 @@ class ResolutionModel:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ResolutionModel":
         base = [
-            BaseCurve(str(c["name"]), int(c["self_intersection"]), str(c["kind"]))
+            BaseCurve(str(c["name"]), c["self_intersection"], str(c["kind"]))
             for c in d.get("base_curves", [])
         ]
         edges = [(str(a), str(b)) for a, b in d.get("base_edges", [])]

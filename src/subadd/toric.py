@@ -25,7 +25,13 @@ Newt(a^p b^q) = p Newt(a) + q Newt(b), so the subadditivity checks
 build their product-side ideal from the vertex sums p u + q w, never
 by expanding the powers and the product.
 
-The engine behind minimal generators is a column-minimum search over
+The engine behind minimal generators has one membership test: v is a
+member when q<a, v> >= t for every facet normal a and its integer
+threshold t. ``multiplier_monomials`` passes t = p b - q<a, 1> + 1 for
+c = p/q, which is the strict test q<a, v + 1> > p b in integers, and
+``integral_closure_monomial`` passes t = b with q = 1. Normals are
+nonnegative, so a facet with t <= 0 holds on the whole semigroup and
+the engine drops it. The engine is a column-minimum search over
 the box [0, bound]^n, with bound = ceil(c M) + index + rank, M the
 largest generator coordinate. Membership is upward-closed, so over
 each prefix x' = (x_1..x_{n-1}) only the lowest member of the column
@@ -108,6 +114,19 @@ class OutOfScaleError(RuntimeError):
     """The input needs arrays or integers past the desk-scale caps."""
 
 
+def _integer_entries(values: Sequence, what: str) -> tuple[int, ...]:
+    """The entries of ``values`` as Python ints. Python and numpy integers
+    pass; floats, booleans and anything else raise InvalidParametersError,
+    so no input is rounded or truncated on the way in."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise InvalidParametersError(f"{what} {list(values)} has an entry that is not an integer")
+
+
 class ToricRing:
     """Sublattice of Z^rank cut out by congruences, with its semigroup.
 
@@ -118,13 +137,13 @@ class ToricRing:
     """
 
     def __init__(self, rank: int, congruences: Sequence[tuple[Sequence[int], int]] = ()):
-        if not isinstance(rank, int) or rank < 1:
+        if type(rank) is not int or rank < 1:
             raise InvalidParametersError("rank must be a positive integer")
         congs = []
         for weights, modulus in congruences:
-            if not isinstance(modulus, int) or modulus < 1:
+            if type(modulus) is not int or modulus < 1:
                 raise InvalidParametersError("moduli must be positive integers")
-            w = tuple(int(x) % modulus for x in weights)
+            w = tuple(x % modulus for x in _integer_entries(weights, "weight vector"))
             if len(w) != rank:
                 raise InvalidParametersError("weight vector length must equal rank")
             congs.append((w, modulus))
@@ -206,13 +225,7 @@ class ToricRing:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ToricRing":
-        return cls(
-            int(d["rank"]),
-            [
-                (tuple(int(x) for x in c["weights"]), int(c["modulus"]))
-                for c in d.get("congruences", [])
-            ],
-        )
+        return cls(d["rank"], [(c["weights"], c["modulus"]) for c in d.get("congruences", [])])
 
     def __repr__(self) -> str:
         if not self.congruences:
@@ -511,7 +524,7 @@ class MonomialIdeal:
     """
 
     def __init__(self, ring: ToricRing, generators: Iterable[Sequence[int]]):
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [_integer_entries(g, "generator") for g in generators]
         if not gens:
             raise InvalidParametersError("a monomial ideal needs at least one generator")
         for g in gens:
@@ -578,20 +591,20 @@ class MonomialIdeal:
         return self._newton
 
     def membership(self, v: Sequence[int]) -> bool:
-        """Is the monomial with exponent ``v`` in the ideal?"""
-        v = tuple(int(x) for x in v)
-        for g in self.generators:
-            diff = tuple(x - y for x, y in zip(v, g))
-            if all(x >= 0 for x in diff) and self.ring.contains(diff):
-                return True
-        return False
+        """Is the monomial with exponent ``v`` in the ideal? Every
+        generator g lies in the group M, so v - g is in M exactly when v
+        is: one lattice test, then one dominance scan."""
+        v = _integer_entries(v, "vector")
+        if not self.ring.contains(v):
+            return False
+        return any(all(map(operator.le, g, v)) for g in self.generators)
 
     def to_json_dict(self) -> dict:
         return {"generators": [list(g) for g in self.generators]}
 
     @classmethod
     def from_json_dict(cls, ring: ToricRing, d: Mapping) -> "MonomialIdeal":
-        return cls(ring, [tuple(int(x) for x in g) for g in d["generators"]])
+        return cls(ring, d["generators"])
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({len(self.generators)} generators, rank {self.ring.rank})"
@@ -633,34 +646,35 @@ def _box_minimal_impl(
     normals: tuple[tuple[int, ...], ...],
     thresholds: tuple[int, ...],
     q: int,
-    strict: bool,
-    shift: int,
     start_bound: int,
 ) -> np.ndarray:
-    """Minimal members of the box [0, start_bound]^n as a read-only int64
-    array, rows in (sum, coordinates) order. The caller's bound must
-    exceed every coordinate of a minimal generator (the module
+    """Minimal semigroup points v with q<a, v> >= t for every facet
+    normal a and threshold t, in the box [0, start_bound]^n, as a
+    read-only int64 array, rows in (sum, coordinates) order. The caller's
+    bound must exceed every coordinate of a minimal generator (the module
     docstring's proof); a box without members, or a generator on its
     boundary, means that proof failed and raises AssertionError."""
     m = ring.rank - 1
-    row_mass = max((sum(map(abs, a)) for a in normals), default=0)
-    top = max((abs(t) for t in thresholds), default=0)
+    # normals are nonnegative, so a facet with t <= 0 holds on the whole
+    # semigroup
+    kept = [(a, t) for a, t in zip(normals, thresholds) if t > 0]
+    row_mass = max((sum(map(abs, a)) for a, _ in kept), default=0)
+    top = max((t for _, t in kept), default=0)
     bound = max(start_bound, 1)
     side = bound + 1
     if side**m > _CELL_CAP:
         raise OutOfScaleError(
             f"prefix grid of {side}^{m} cells passes the cap; out of desk scale"
         )
-    # every |K - q<a', x'>| below is at most q * row_mass * (side + shift) + top
-    if q * row_mass * (side + shift) + top >= 2**61:
+    # every |K - q<a', x'>| below is at most q * row_mass * (side + 1) + top
+    if q * row_mass * (side + 1) + top >= 2**61:
         raise OutOfScaleError("facet values exceed 64-bit range; out of desk scale")
-    # q<a, (x', z) + shift> against t: with d = q a_n > 0 the least z is
-    # (K - q<a', x'>) // d, and with d = 0 the prefix passes when
-    # K - q<a', x'> < 0; K folds in t, the shift and the strictness
-    scaled = np.array(normals, dtype=np.int64).reshape(len(normals), m + 1) * q
+    # with d = q a_n > 0 the least z with q<a, (x', z)> >= t is
+    # (K - q<a', x'>) // d for K = t + d - 1, and with d = 0 the prefix
+    # passes when K - q<a', x'> < 0
+    scaled = np.array([a for a, _ in kept], dtype=np.int64).reshape(len(kept), m + 1) * q
     ds = scaled[:, -1].tolist()
-    ks = np.array(thresholds, dtype=np.int64) - shift * scaled.sum(axis=1) + scaled[:, -1]
-    ks -= not strict
+    ks = np.array([t for _, t in kept], dtype=np.int64) + scaled[:, -1] - 1
     coefs = -scaled[:, :-1]
     # rows [r0, r1) of axis 0 times [0, width) on every later axis: the
     # widths shrink to the cells whose staircase is still above zero
@@ -677,7 +691,7 @@ def _box_minimal_impl(
         span = np.arange(max(lens, default=0), dtype=np.int64)
         kb = ks + coefs[:, 0] * r0 if r0 else ks
         per = max(1, low.size // max(1, m * len(span)))
-        for lo in range(0, len(normals), per):
+        for lo in range(0, len(kept), per):
             hi = lo + per
             if m:
                 axis_rows = np.multiply.outer(coefs[lo:hi], span)
@@ -729,35 +743,6 @@ def _box_minimal_impl(
     return rows
 
 
-def _box_minimal_generators(
-    ring: ToricRing,
-    facets: tuple[tuple[tuple[int, ...], int], ...],
-    c: Fraction,
-    strict: bool,
-    shift: int,
-    start_bound: int,
-) -> np.ndarray:
-    """Minimal generators of the upward-closed membership set.
-
-    Membership of v: v in the semigroup and, for every facet (a, b),
-    q<a, v + shift> compared against p*b where c = p/q (strict or not).
-    Facets that every semigroup point satisfies automatically (offset
-    at most zero, given the shift convention) are dropped up front. The
-    cache key is the normalized test data, so scaling an exponent
-    against scaled facets reuses previous work.
-    """
-    p, q = c.numerator, c.denominator
-    kept: list[tuple[tuple[int, ...], int]] = []
-    for a, b in facets:
-        t = p * b
-        if t < 0 or (t == 0 and (not strict or shift >= 1)):
-            continue
-        kept.append((a, t))
-    normals = tuple(a for a, _ in kept)
-    thresholds = tuple(t for _, t in kept)
-    return _box_minimal_impl(ring, normals, thresholds, q, strict, shift, start_bound)
-
-
 def _multiplier_start(ideal: MonomialIdeal, c: Fraction) -> int:
     """The engine's start bound for J(ideal^c), checked before any
     Newton polyhedron is built: a ring without unit coordinate steps is
@@ -786,9 +771,13 @@ def multiplier_monomials(ideal: MonomialIdeal, c) -> MonomialIdeal:
     if c <= 0:
         raise InvalidParametersError("exponent must be positive")
     start = _multiplier_start(ideal, c)
-    poly = ideal.newton_polyhedron()
-    gens = _box_minimal_generators(ideal.ring, poly.facets, c, True, 1, start)
-    return MonomialIdeal._from_engine(ideal.ring, gens)
+    facets = ideal.newton_polyhedron().facets
+    # q<a, v + 1> > p b in integers: q<a, v> >= p b - q<a, 1> + 1
+    p, q = c.numerator, c.denominator
+    normals = tuple(a for a, _ in facets)
+    thresholds = tuple(p * b - q * sum(a) + 1 for a, b in facets)
+    rows = _box_minimal_impl(ideal.ring, normals, thresholds, q, start)
+    return MonomialIdeal._from_engine(ideal.ring, rows)
 
 
 def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -803,8 +792,9 @@ def integral_closure_monomial(ideal: MonomialIdeal) -> MonomialIdeal:
     ring = ideal.ring
     poly = ideal.newton_polyhedron()
     start = ideal.max_coordinate + ring.index + ring.rank
-    gens = _box_minimal_generators(ring, poly.facets, Fraction(1), False, 0, start)
-    out = MonomialIdeal._from_engine(ring, gens)
+    normals = tuple(a for a, _ in poly.facets)
+    offsets = tuple(b for _, b in poly.facets)
+    out = MonomialIdeal._from_engine(ring, _box_minimal_impl(ring, normals, offsets, 1, start))
     for g in ideal.generators:
         if not out.membership(g):
             raise AssertionError("closure lost an original generator; internal bug")
@@ -971,17 +961,8 @@ def subadditivity_check_monomial(
 ) -> MonomialCertificate:
     """Does the multiplier ideal of ab sit inside the product of the
     multiplier ideals? The verdict tests every minimal generator of
-    J(ab) for membership in J(a) J(b); J(ab) is computed from the
-    vertex sums of Newt(a) + Newt(b)."""
-    if a.ring != b.ring:
-        raise RingMismatchError("subadditivity check needs one ring")
-    one = Fraction(1)
-    # refuse out-of-scale inputs before any Newton polyhedron is built
-    _multiplier_start(a, one)
-    _multiplier_start(b, one)
-    mixed = _vertex_sum_ideal(a, b, 1, 1)
-    j_ab, j_a, j_b = (multiplier_monomials(x, one) for x in (mixed, a, b))
-    return _certify(a, b, one, one, mixed, one, j_ab, j_a, j_b)
+    J(ab) for membership in J(a) J(b): the strong check at c = d = 1."""
+    return strong_subadd_check_monomial(a, b, 1, 1)
 
 
 def strong_subadd_check_monomial(

@@ -437,6 +437,18 @@ _CHECKMONO = ["checkmono", "--ring", str(DATA / "q41_ring.json"),
         pytest.param(_CHECK2D, 4, b"[]", id="cycle is a list"),
         pytest.param(_CHECKMONO, 2, b"[]", id="ring is a list"),
         pytest.param(_CHECKMONO, 4, b"[]", id="ideal is a list"),
+        # numbers are never truncated: 41.5 would run as 41, a semigroup point
+        pytest.param(_CHECKMONO, 4, b'{"generators": [[41.5, 0, 0]]}', id="ideal entry is a float"),
+        pytest.param(
+            _CHECKMONO, 2, b'{"rank": 3, "congruences": [{"weights": [1.7, 1, 1], "modulus": 2}]}',
+            id="ring weight is a float",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [{"name": "F", "self_intersection": -2.5, "kind": "exceptional"}],'
+            b' "blowups": [{"name": "E1", "center_on": ["F"]}]}',
+            id="model self-intersection is a float",
+        ),
     ],
 )
 def test_bad_input_file_is_input_error(tmp_path, capsys, argv, slot, content):

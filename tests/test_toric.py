@@ -274,6 +274,35 @@ class TestMonomialIdeal:
         assert not ideal.membership((9, 1, 1))
         assert not ideal.membership((0, 0, 0))
 
+    def test_membership_needs_a_vector_of_the_rank(self):
+        # zip would truncate (2, 0, 0, 5) to a member
+        ideal = tc.MonomialIdeal(tc.ToricRing(3), [(2, 0, 0)])
+        assert ideal.membership((2, 0, 0)) and not ideal.membership((1, 5, 5))
+        for v in [(2, 0, 0, 5), (2, 0), (1, 0)]:
+            with pytest.raises(ValueError, match="length must equal rank"):
+                ideal.membership(v)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tc.MonomialIdeal(tc.ToricRing(3), [(2.9, 0, 0)]),
+            lambda: tc.MonomialIdeal(tc.ToricRing(3), [(True, 0, 0)]),
+            lambda: tc.ToricRing(3, [((1.7, 1, 1), 2)]),
+            lambda: tc.ToricRing(3, [((1, 1, 1), True)]),
+            lambda: tc.ToricRing(True),
+        ],
+        ids=["float entry", "bool entry", "float weight", "bool modulus", "bool rank"],
+    )
+    def test_non_integers_are_rejected(self, build):
+        with pytest.raises(InvalidParametersError):
+            build()
+
+    def test_numpy_integers_are_integers(self):
+        ring = tc.ToricRing(3, [(np.array([1, 1, 0]), 2)])
+        ideal = tc.MonomialIdeal(ring, np.array([[2, 0, 0], [1, 1, 4]]))
+        assert ideal.generators == ((2, 0, 0), (1, 1, 4))
+        assert {type(x) for x in ideal.generators[1] + ring.congruences[0][0]} == {int}
+
     def test_product_and_power(self):
         ring = tc.ToricRing(2)
         a = tc.MonomialIdeal(ring, [(1, 0), (0, 1)])
@@ -720,12 +749,30 @@ class TestMultiplier:
     def test_engine_box_below_the_proof_raises(self, q41_ideal):
         # at c = 1 the proof's bound is 410 + 41 + 3; J has generators
         # with a coordinate above 100, so a box of side 101 cuts them
-        facets = [(a, b) for a, b in q41_ideal.newton_polyhedron().facets if b > 0]
-        normals, offsets = zip(*facets)
-        args = (q41_ideal.ring, normals, offsets, 1, True, 1)
+        facets = q41_ideal.newton_polyhedron().facets
+        normals = tuple(a for a, _ in facets)
+        thresholds = tuple(b - sum(a) + 1 for a, b in facets)
+        args = (q41_ideal.ring, normals, thresholds, 1)
         assert int(tc._box_minimal_impl(*args, 454).max()) > 100
         with pytest.raises(AssertionError, match="too small for its generators"):
             tc._box_minimal_impl(*args, 100)
+
+    def test_engine_facet_values_past_64_bits_raise(self):
+        # J((x^4)^c) on Z: the facet x >= 4 gives t = 4p - q + 1, and the
+        # box has side ceil(4c) + 3 = 8, so q * 9 + t = 12 q + 5
+        # passes 2^61 at q = 2^58 and not at q = 2^57
+        ideal = tc.MonomialIdeal(tc.ToricRing(1), [(4,)])
+        for e in (57, 58):
+            assert tc._multiplier_start(ideal, Fraction(2**e + 1, 2**e)) == 7
+        assert tc.multiplier_monomials(ideal, Fraction(2**57 + 1, 2**57)).generators == ((4,),)
+        with pytest.raises(tc.OutOfScaleError, match="facet values exceed 64-bit range"):
+            tc.multiplier_monomials(ideal, Fraction(2**58 + 1, 2**58))
+
+    def test_engine_drops_facets_that_hold_on_the_whole_semigroup(self):
+        # J((x)^(1/2^60)) on Z: t = 2 - 2^60 <= 0, so the one facet holds
+        # on every v >= 0 and no facet value is ever formed
+        ideal = tc.MonomialIdeal(tc.ToricRing(1), [(1,)])
+        assert tc.multiplier_monomials(ideal, Fraction(1, 2**60)).generators == ((0,),)
 
     def test_engine_facet_rows_stay_within_one_grid(self):
         # at rank 2 a facet's row is as long as the grid: 40 facets built
@@ -735,11 +782,12 @@ class TestMultiplier:
             tc.ToricRing(2), [(1000 * i, 25 * (40 - i) ** 2) for i in range(41)]
         )
         facets = [(a, b) for a, b in ideal.newton_polyhedron().facets if b > 0]
-        normals, offsets = zip(*facets)
+        normals = tuple(a for a, _ in facets)
+        thresholds = tuple(b - sum(a) + 1 for a, b in facets)
         start = ideal.max_coordinate + ideal.ring.index + ideal.ring.rank
         tracemalloc.start()
         try:
-            rows = tc._box_minimal_impl.__wrapped__(ideal.ring, normals, offsets, 1, True, 1, start)
+            rows = tc._box_minimal_impl.__wrapped__(ideal.ring, normals, thresholds, 1, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
