@@ -4,6 +4,7 @@ Everything here recomputes library results by a different route: box
 enumeration for anti-nef closures and fundamental cycles, one dense
 Gauss-Jordan solve per stage for relative canonical divisors and one
 on the final surface for total transforms of marked curves, the
+rounded closure formula stage by stage on prefix models, the
 blowup rule replayed with cofactor-expansion minors for negative
 definiteness, the anti-nef test in d-coordinates, pure-Python
 cofactor expansion for Newton-polyhedron facets, integer ranks of
@@ -13,7 +14,8 @@ irreducibles of a toric semigroup, and exact Fourier-Motzkin
 feasibility for Newton-polyhedron membership, for membership in a
 Minkowski sum of two of them, and for product membership of
 subadditivity witnesses. Nothing imports the algorithms
-under test beyond basic data types.
+under test beyond basic data types; the surface of stage s is the model
+of the base graph and the first s blowups (:func:`prefix_model`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from subadd.proximity import DCoordinates, ProximityData, proximity_data
-from subadd.surface import EXCEPTIONAL, MARKED, Cycle
+from subadd.surface import EXCEPTIONAL, MARKED, Cycle, build_model
+
+
+def prefix_model(model, stage: int):
+    """The model of the base graph and the first ``stage`` blowups: its
+    final surface is the stage-``stage`` surface of ``model``."""
+    return build_model(model.base_curves, model.base_edges, model.blowups[:stage])
 
 
 def brute_anti_nef_closure(model, z: Cycle, extra: int = 3) -> Cycle:
@@ -96,6 +104,28 @@ def stage_canonical_dense(model, stage: int) -> Cycle:
     m = model.intersection_matrix(stage, exc)
     rhs = [-m.entry(i, i) - 2 for i in range(len(exc))]
     return Cycle(dict(zip(exc, _fraction_solve(m.data, rhs))))
+
+
+def naive_ceil_closure_by_stages(model, z: Cycle) -> Cycle:
+    """The rounded closure formula, one prefix model per stage.
+
+    Adds the pullback of E_i to Z - ceil(K) when, on the stage-i
+    surface, the pushforward of Z is orthogonal to E_i and ceil(K_i) is
+    the one-step pullback of ceil(K_{i-1}) plus E_i, both canonicals
+    from the dense adjunction solve.
+    """
+    n = model.n_blowups
+    result = z - stage_canonical_dense(model, n).ceil()
+    k_prev = stage_canonical_dense(model, 0).ceil()
+    for i, (name, pb) in enumerate(zip(model.blowup_names, model.blowup_pullbacks()), 1):
+        here = prefix_model(model, i)
+        k_here = stage_canonical_dense(model, i).ceil()
+        mass = sum(k_prev.coeff(c) for c in model.center_of[name])
+        commutes = k_here == k_prev + Cycle({name: mass + 1})
+        if commutes and here.dot_curve(z.restrict(here.names), name) == 0:
+            result = result + pb
+        k_prev = k_here
+    return result
 
 
 def total_transform_dense(model, name: str) -> Cycle:

@@ -644,6 +644,10 @@ _GOLDEN = [
      ["strongmono", "--ring", "tests/data/q41_ring.json",
       "--ideal-a", "tests/data/q41_ideal.json", "--ideal-b", "tests/data/q41_ideal.json",
       "-c", "1/2", "-d", "1/3"]),
+    # the rounded closure formula on a model with fractional K
+    ("reproduce_2.6.2.json", ["reproduce", "2.6.2"]),
+    # marked curves: total transforms solved on the base graph
+    ("reproduce_2.3.2.json", ["reproduce", "2.3.2"]),
 ]
 
 

@@ -15,7 +15,7 @@ from subadd.surface import (
     hj_chain,
 )
 
-from _oracles import anti_nef_test_d, stage_canonical_dense
+from _oracles import anti_nef_test_d, naive_ceil_closure_by_stages, stage_canonical_dense
 from _randgen import random_anti_nef_cycle, random_integral_cycle, random_model
 
 
@@ -426,6 +426,21 @@ class TestClosureFormulas:
                 model, z
             ) == px.gorenstein_closure_formula(model, z)
             done += 1
+
+    def test_rounded_analog_matches_stagewise_definition(self):
+        # the closed-form stage rows and rounding test against the
+        # definition replayed on one prefix model per stage; the
+        # rounding test changes the result on some of these models
+        rng = random.Random(7)
+        marked = 0
+        for _ in range(300):
+            model = random_model(rng, max_blowups=4)
+            marked += bool(model.marked)
+            z = random_anti_nef_cycle(rng, model)
+            assert px.naive_ceil_closure_formula(model, z) == naive_ceil_closure_by_stages(
+                model, z
+            )
+        assert marked >= 50
 
 
 class TestCounterexamples:
