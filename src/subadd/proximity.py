@@ -506,6 +506,13 @@ def subadditivity_check_2d(
     )
 
 
+def _stage_row(model: ResolutionModel, z: Cycle, name: str) -> int | Fraction:
+    """The stage-i pushforward of ``z`` against blowup curve E_i on the
+    stage-i surface, where E_i^2 = -1 and E_i meets each of its center
+    curves once and no other curve."""
+    return sum(z.coeff(c) for c in model.center_of[name]) - z.coeff(name)
+
+
 def gorenstein_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
     """Closed form for the closure of Z - K when K is integral:
 
@@ -525,11 +532,9 @@ def gorenstein_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
     if not model.is_anti_nef(z):
         raise NotAntiNefError("the closure formula needs an anti-nef cycle")
     result = z - k
-    for i, name in enumerate(model.blowup_names):
-        stage = i + 1
-        push = model.pushforward(z, stage)
-        if model.dot_curve(push, name, stage=stage) == 0:
-            result = result + model.blowup_pullbacks()[i]
+    for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
+        if _stage_row(model, z, name) == 0:
+            result = result + pb
     return result
 
 
@@ -538,23 +543,21 @@ def naive_ceil_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
 
     Adds pullback(E_i) when the stage-i pushforward of Z is orthogonal
     to E_i and rounding commutes with the i-th pullback step of the
-    stage canonicals. This candidate does not compute the closure in
-    general; it exists to demonstrate the failure on fractional-K
-    models.
+    stage canonicals. A blowup keeps every earlier coefficient of K and
+    gives E_i the K-mass of its center plus one, so rounding commutes
+    exactly when ceil(K_{E_i}) is the ceil-K mass of the center plus
+    one (a marked curve carries none). This candidate does not compute
+    the closure in general; it exists to demonstrate the failure on
+    fractional-K models.
     """
     if not model.is_anti_nef(z):
         raise NotAntiNefError("the closure formula needs an anti-nef cycle")
-    result = z - model.relative_canonical.ceil()
-    for i, name in enumerate(model.blowup_names):
-        stage = i + 1
-        k_prev = model.stage_relative_canonical(stage - 1)
-        k_here = model.stage_relative_canonical(stage)
-        commutes = k_here.ceil() == model.pullback_one_step(stage, k_prev.ceil()) + Cycle(
-            {name: 1}
-        )
-        push = model.pushforward(z, stage)
-        if commutes and model.dot_curve(push, name, stage=stage) == 0:
-            result = result + model.blowup_pullbacks()[i]
+    ceil_k = model.relative_canonical.ceil()
+    result = z - ceil_k
+    for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
+        mass = sum(ceil_k.coeff(c) for c in model.center_of[name])
+        if ceil_k.coeff(name) == mass + 1 and _stage_row(model, z, name) == 0:
+            result = result + pb
     return result
 
 

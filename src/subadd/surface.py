@@ -222,8 +222,11 @@ class ResolutionModel:
     Use :func:`build_model` (or the catalog constructors) rather than
     instantiating directly. Stage s means "after the first s blowups";
     stage 0 is the base graph, stage ``n_blowups`` the final surface.
-    The model keeps the intersection matrix of every stage so pullback
-    and pushforward can be checked against the projection formula.
+    The model keeps two intersection forms, the base graph's and the
+    final surface's. The surface of stage s is the final surface of the
+    prefix model ``build_model(base_curves, base_edges, blowups[:s])``;
+    everything the calculus needs about stage i is local to blowup E_i
+    (E_i^2 = -1, E_i meets each of its center curves once).
     """
 
     def __init__(
@@ -263,7 +266,9 @@ class ResolutionModel:
             inter[a][b] += 1
             inter[b][a] += 1
 
-        self._stages = {0: {n: dict(row) for n, row in inter.items()}}
+        # the base graph, for the stage-0 solves; shared with the final
+        # surface when nothing is blown up
+        base = {n: dict(row) for n, row in inter.items()} if self.blowups else inter
         for bl in self.blowups:
             if bl.name in kind:
                 raise ModelError(f"duplicate curve name {bl.name!r}")
@@ -298,7 +303,7 @@ class ResolutionModel:
             b.name: tuple(b.center_on) for b in self.blowups
         }
         self.inter = inter
-        self._stages[self.n_blowups] = inter
+        self._base_inter = base
         # The nonzero entries of each final-surface row, for row sweeps.
         self._nonzero: dict[str, tuple[tuple[str, int], ...]] = {
             a: tuple((b, v) for b, v in row.items() if v) for a, row in self.inter.items()
@@ -309,13 +314,13 @@ class ResolutionModel:
         self._base_exceptional = tuple(
             c.name for c in self.base_curves if c.kind == EXCEPTIONAL
         )
-        self._base_block = self.intersection_matrix(0, self._base_exceptional)
+        exc0 = self._base_exceptional
+        self._base_block = QMatrix([[base[a][b] for b in exc0] for a in exc0])
         if not is_negative_definite(self._base_block):
             raise NotNegativeDefiniteError(
                 "exceptional intersection block is not negative definite"
             )
-        inter0 = self._stages[0]
-        base_k = self._base_solve([-inter0[e][e] - 2 for e in self._base_exceptional])
+        base_k = self._base_solve([-base[e][e] - 2 for e in exc0])
         # den*K is integral: the recursion and its adjunction check run
         # on integers
         den = math.lcm(*(q.denominator for q in base_k.values()))
@@ -350,24 +355,12 @@ class ResolutionModel:
                 f"stage {stage} outside 0..{self.n_blowups}"
             )
 
-    def _stage_inter(self, stage: int) -> dict[str, dict[str, int]]:
-        """Intersection numbers on the stage-``stage`` surface: the base
-        graph with the first ``stage`` blowups replayed, kept once built."""
-        self._check_stage(stage)
-        if stage not in self._stages:
-            inter = {n: dict(row) for n, row in self._stages[0].items()}
-            for bl in self.blowups[:stage]:
-                _blow_up(inter, bl.name, bl.center_on)
-            self._stages[stage] = inter
-        return self._stages[stage]
-
-    def intersection_matrix(
-        self, stage: int | None = None, curves: Sequence[str] | None = None
-    ) -> QMatrix:
-        inter = self.inter if stage is None else self._stage_inter(stage)
+    def intersection_matrix(self, curves: Sequence[str] | None = None) -> QMatrix:
+        """Intersection matrix of the final surface over ``curves``
+        (default: every curve)."""
         if curves is None:
-            curves = self.stage_names(stage if stage is not None else self.n_blowups)
-        return QMatrix([[inter[a][b] for b in curves] for a in curves])
+            curves = self.names
+        return QMatrix([[self.inter[a][b] for b in curves] for a in curves])
 
     def _validate_support(self, z: Cycle, stage: int | None = None) -> None:
         allowed = self.inter if stage is None else self.stage_names(stage)
@@ -375,21 +368,20 @@ class ResolutionModel:
             if n not in allowed:
                 raise ModelError(f"cycle names unknown curve {n!r}")
 
-    def dot(self, z1: Cycle, z2: Cycle, stage: int | None = None) -> int | Fraction:
-        """Intersection number of two cycles (at the given stage)."""
-        self._validate_support(z1, stage)
-        self._validate_support(z2, stage)
-        inter = self.inter if stage is None else self._stage_inter(stage)
+    def dot(self, z1: Cycle, z2: Cycle) -> int | Fraction:
+        """Intersection number of two cycles on the final surface."""
+        self._validate_support(z1)
+        self._validate_support(z2)
         total = 0
         for a, qa in z1.items():
-            row = inter[a]
+            row = self.inter[a]
             for b, qb in z2.items():
                 if row[b]:
                     total += qa * qb * row[b]
         return total
 
-    def dot_curve(self, z: Cycle, name: str, stage: int | None = None) -> int | Fraction:
-        return self.dot(z, Cycle({name: 1}), stage)
+    def dot_curve(self, z: Cycle, name: str) -> int | Fraction:
+        return self.dot(z, Cycle({name: 1}))
 
     def curve_rows(
         self, coeffs: Iterable[tuple[str, int | Fraction]]
@@ -412,14 +404,6 @@ class ResolutionModel:
     def relative_canonical(self) -> Cycle:
         """K, supported on exceptional curves, with K.E = -E^2 - 2."""
         return self._K
-
-    def stage_relative_canonical(self, stage: int) -> Cycle:
-        """Relative canonical divisor of the stage-s surface over the base.
-
-        A blowup keeps every earlier coefficient of K (K' = pi^*K + E),
-        so this is K restricted to the stage-s curves.
-        """
-        return self._K.restrict(self.stage_names(stage))
 
     def is_log_terminal(self) -> bool:
         """True when every discrepancy exceeds -1.
@@ -525,15 +509,6 @@ class ResolutionModel:
             )
         return self._blowup_pullbacks
 
-    def pullback_one_step(self, stage: int, z: Cycle) -> Cycle:
-        """Pull a stage ``stage - 1`` cycle through the single blowup ``stage``."""
-        if not 1 <= stage <= self.n_blowups:
-            raise StageOutOfRangeError(f"blowup stage {stage} outside 1..{self.n_blowups}")
-        self._validate_support(z, stage - 1)
-        bl = self.blowups[stage - 1]
-        m = sum(z.coeff(c) for c in bl.center_on)
-        return z + Cycle({bl.name: m})
-
     def total_transform_marked(self, name: str) -> Cycle:
         """f*D for a marked curve D: the strict transform plus the unique
         exceptional correction orthogonal to every exceptional curve.
@@ -543,8 +518,7 @@ class ResolutionModel:
         """
         if self.kind.get(name) != MARKED:
             raise ModelError(f"{name!r} is not a marked curve")
-        inter0 = self._stages[0]
-        base = self._base_solve([-inter0[name][e] for e in self._base_exceptional])
+        base = self._base_solve([-self._base_inter[name][e] for e in self._base_exceptional])
         base[name] = 1
         result = self.pullback(0, Cycle(base))
         rows = self.curve_rows(result.items())

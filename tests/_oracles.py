@@ -101,7 +101,7 @@ def stage_canonical_dense(model, stage: int) -> Cycle:
     adjunction system K.E = -E^2 - 2 over that stage's exceptional
     curves."""
     exc = [n for n in model.stage_names(stage) if model.kind[n] == EXCEPTIONAL]
-    m = model.intersection_matrix(stage, exc)
+    m = prefix_model(model, stage).intersection_matrix(curves=exc)
     rhs = [-m.entry(i, i) - 2 for i in range(len(exc))]
     return Cycle(dict(zip(exc, _fraction_solve(m.data, rhs))))
 
@@ -188,10 +188,9 @@ def anti_nef_test_d(model, dc: DCoordinates, prox: ProximityData | None = None) 
         return False
     if any(sum(p * d for p, d in zip(row, dc.d)) < 0 for row in prox.matrix):
         return False
-    for c in model.stage_names(0):
-        if model.kind[c] != EXCEPTIONAL:
-            continue
-        row = model.dot_curve(dc.base, c, stage=0)
+    base = prefix_model(model, 0)
+    for c in base.exceptional:
+        row = base.dot_curve(dc.base, c)
         for name, di in zip(model.blowup_names, dc.d):
             if c in prox.prox_base[name]:
                 row += di

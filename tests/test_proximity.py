@@ -65,10 +65,11 @@ class TestStageCanonicals:
                 any(model.kind[c] == MARKED for c in model.center_of[b])
                 for b in model.blowup_names
             )
+            k = model.relative_canonical
             for s in range(model.n_blowups + 1):
-                assert model.stage_relative_canonical(s) == stage_canonical_dense(model, s)
-            dc = px.d_coordinates(model, model.relative_canonical)
-            assert dc.base == model.stage_relative_canonical(0)
+                assert k.restrict(model.stage_names(s)) == stage_canonical_dense(model, s)
+            dc = px.d_coordinates(model, k)
+            assert dc.base == k.restrict(model.stage_names(0))
             assert all(v == 1 for v in dc.d)
         assert marked_centers >= 5
 
@@ -84,7 +85,8 @@ class TestStageCanonicals:
             {"F": Fraction(-1, 3), "B1": 1, "B2": Fraction(2, 3), "B3": Fraction(5, 3)}
         )
         for s in range(model.n_blowups + 1):
-            assert model.stage_relative_canonical(s) == stage_canonical_dense(model, s)
+            k = model.relative_canonical.restrict(model.stage_names(s))
+            assert k == stage_canonical_dense(model, s)
 
 
 class TestDCoordinates:

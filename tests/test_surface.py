@@ -27,6 +27,7 @@ from _oracles import (
     brute_anti_nef_closure,
     brute_fundamental_cycle,
     negative_definite_by_minors,
+    prefix_model,
     replay_exceptional_block,
     total_transform_dense,
 )
@@ -349,10 +350,21 @@ class TestRowPass:
             for a, b in model.base_edges:
                 graph[index[a]][index[b]] += 1
                 graph[index[b]][index[a]] += 1
-            assert model.intersection_matrix(stage=0) == QMatrix(graph)
-            for s in range(model.n_blowups + 1):
-                prefix = build_model(model.base_curves, model.base_edges, model.blowups[:s])
-                assert model.intersection_matrix(stage=s) == prefix.intersection_matrix()
+            assert prefix_model(model, 0).intersection_matrix() == QMatrix(graph)
+            # each stage is the one before with its blowup rule applied,
+            # and the last is the final surface
+            prev = prefix_model(model, 0).inter
+            for s, bl in enumerate(model.blowups, 1):
+                here = prefix_model(model, s).inter
+                center = bl.center_on
+                for a in prev:
+                    for b in prev:
+                        drop = (a in center and b in center) and (a == b or len(center) == 2)
+                        assert here[a][b] == prev[a][b] - drop
+                    assert here[bl.name][a] == here[a][bl.name] == (a in center)
+                assert here[bl.name][bl.name] == -1
+                prev = here
+            assert prev == model.inter
 
 
 class TestFundamentalCycle:
@@ -404,7 +416,7 @@ class TestTransport:
             )
             up = random_integral_cycle(rng, model)
             lhs = model.dot(model.pullback(stage, down), up)
-            rhs = model.dot(down, model.pushforward(up, stage), stage=stage)
+            rhs = prefix_model(model, stage).dot(down, model.pushforward(up, stage))
             assert lhs == rhs
             # pushforward of pullback is the identity
             assert model.pushforward(model.pullback(stage, down), stage) == down
