@@ -23,10 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QMatrix",
     "SingularMatrixError",
     "NonSymmetricError",
@@ -122,9 +119,6 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> int | Fraction:
         return self.data[i][j]
-
-    def row(self, i: int) -> list[int | Fraction]:
-        return list(self.data[i])
 
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -115,10 +115,6 @@ class Cycle:
                     c[str(name)] = q
         self._c = c
 
-    @classmethod
-    def of(cls, **coeffs) -> "Cycle":
-        return cls(coeffs)
-
     def coeff(self, name: str) -> int | Fraction:
         return self._c.get(name, 0)
 
@@ -236,7 +232,7 @@ class ResolutionModel:
         blowups: Sequence[Blowup],
     ):
         self.base_curves = tuple(base_curves)
-        self.base_edges = tuple((a, b) for a, b in base_edges)
+        self.base_edges = tuple(base_edges)
         self.blowups = tuple(blowups)
         self._build()
 
@@ -246,6 +242,8 @@ class ResolutionModel:
         names: list[str] = []
         kind: dict[str, str] = {}
         for c in self.base_curves:
+            if not isinstance(c.name, str):
+                raise ModelError(f"curve name {c.name!r} is not a string")
             if c.name in kind:
                 raise ModelError(f"duplicate curve name {c.name!r}")
             if c.kind not in (EXCEPTIONAL, MARKED):
@@ -258,20 +256,29 @@ class ResolutionModel:
         inter: dict[str, dict[str, int]] = {n: {m: 0 for m in names} for n in names}
         for c in self.base_curves:
             inter[c.name][c.name] = c.self_intersection
-        for a, b in self.base_edges:
+        for edge in self.base_edges:
+            if not _is_names(edge) or len(edge) != 2:
+                raise ModelError(f"edge {edge!r} is not a pair of curve names")
+            a, b = edge
             if a not in kind or b not in kind:
                 raise ModelError(f"edge ({a!r}, {b!r}) names an unknown curve")
             if a == b:
                 raise ModelError("a curve cannot intersect itself in an SNC graph")
             inter[a][b] += 1
             inter[b][a] += 1
+        self.base_edges = tuple(tuple(edge) for edge in self.base_edges)
 
         # the base graph, for the stage-0 solves; shared with the final
         # surface when nothing is blown up
         base = {n: dict(row) for n, row in inter.items()} if self.blowups else inter
+        blowups = []
         for bl in self.blowups:
+            if not isinstance(bl.name, str):
+                raise ModelError(f"curve name {bl.name!r} is not a string")
             if bl.name in kind:
                 raise ModelError(f"duplicate curve name {bl.name!r}")
+            if not _is_names(bl.center_on):
+                raise InvalidCenterError(f"center of {bl.name!r} is not a list of curve names")
             center = tuple(bl.center_on)
             if len(center) not in (1, 2) or len(set(center)) != len(center):
                 raise InvalidCenterError(
@@ -290,6 +297,8 @@ class ResolutionModel:
             _blow_up(inter, bl.name, center)
             names.append(bl.name)
             kind[bl.name] = EXCEPTIONAL
+            blowups.append(Blowup(bl.name, center))
+        self.blowups = tuple(blowups)
 
         self.names: tuple[str, ...] = tuple(names)
         self.kind: dict[str, str] = kind
@@ -299,9 +308,7 @@ class ResolutionModel:
         self.marked: tuple[str, ...] = tuple(n for n in names if kind[n] == MARKED)
         self.n_blowups = len(self.blowups)
         self.blowup_names: tuple[str, ...] = tuple(b.name for b in self.blowups)
-        self.center_of: dict[str, tuple[str, ...]] = {
-            b.name: tuple(b.center_on) for b in self.blowups
-        }
+        self.center_of: dict[str, tuple[str, ...]] = {b.name: b.center_on for b in self.blowups}
         self.inter = inter
         self._base_inter = base
         # The nonzero entries of each final-surface row, for row sweeps.
@@ -565,19 +572,20 @@ class ResolutionModel:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ResolutionModel":
         base = [
-            BaseCurve(str(c["name"]), c["self_intersection"], str(c["kind"]))
+            BaseCurve(c["name"], c["self_intersection"], c["kind"])
             for c in d.get("base_curves", [])
         ]
-        edges = [(str(a), str(b)) for a, b in d.get("base_edges", [])]
-        blowups = [
-            Blowup(str(b["name"]), tuple(str(x) for x in b["center_on"]))
-            for b in d.get("blowups", [])
-        ]
-        return cls(base, edges, blowups)
+        blowups = [Blowup(b["name"], b["center_on"]) for b in d.get("blowups", [])]
+        return cls(base, d.get("base_edges", []), blowups)
 
     def __repr__(self) -> str:
         weights = ", ".join(f"{n}({self.inter[n][n]})" for n in self.names)
         return f"ResolutionModel[{weights}]"
+
+
+def _is_names(value) -> bool:
+    """A list or tuple of strings: names are never coerced with str()."""
+    return isinstance(value, (tuple, list)) and all(isinstance(n, str) for n in value)
 
 
 def _blow_up(inter: dict[str, dict[str, int]], new: str, center: Sequence[str]) -> None:
@@ -627,7 +635,7 @@ def build_model(
     meet at that stage).
     """
     bc = [c if isinstance(c, BaseCurve) else BaseCurve(c[0], c[1], c[2]) for c in base_curves]
-    bl = [b if isinstance(b, Blowup) else Blowup(b[0], tuple(b[1])) for b in blowups]
+    bl = [b if isinstance(b, Blowup) else Blowup(b[0], b[1]) for b in blowups]
     return ResolutionModel(bc, base_edges, bl)
 
 

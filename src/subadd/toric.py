@@ -250,8 +250,9 @@ def is_gorenstein_cyclic(r: int, weights: Sequence[int]) -> bool:
 
 
 def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Componentwise-minimal elements; input points must lie in one
-    lattice M so dominance equals semigroup divisibility."""
+    """Componentwise-minimal elements, sorted by (coordinate sum,
+    coordinates) on both paths; input points must lie in one lattice M
+    so dominance equals semigroup divisibility."""
     pts = sorted(set(points), key=lambda p: (sum(p), p))
     if not pts:
         return []
@@ -535,7 +536,7 @@ class MonomialIdeal:
                     f"generator {g} is not in the semigroup"
                 )
         self.ring = ring
-        self.generators = tuple(sorted(_dominance_minimal(gens), key=lambda g: (sum(g), g)))
+        self.generators = tuple(_dominance_minimal(gens))
         self._newton: NewtonPolyhedron | None = None
 
     @classmethod

@@ -424,6 +424,11 @@ _CHECKMONO = ["checkmono", "--ring", str(DATA / "q41_ring.json"),
               "--ideal-a", str(DATA / "q41_ideal.json"), "--ideal-b", str(DATA / "q41_ideal.json")]
 
 
+_F = b'{"name": "F", "self_intersection": -2, "kind": "exceptional"}'
+_G = b'{"name": "G", "self_intersection": 0, "kind": "marked"}'
+_E1 = b'{"name": "E1", "center_on": ["F"]}'
+
+
 # (command line, index of the path replaced by the bad file, its bytes;
 # None passes the directory itself)
 @pytest.mark.parametrize(
@@ -448,6 +453,32 @@ _CHECKMONO = ["checkmono", "--ring", str(DATA / "q41_ring.json"),
             b'{"base_curves": [{"name": "F", "self_intersection": -2.5, "kind": "exceptional"}],'
             b' "blowups": [{"name": "E1", "center_on": ["F"]}]}',
             id="model self-intersection is a float",
+        ),
+        # names are never coerced with str(): null would run as "None",
+        # and "FG" as the edge or center F, G
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b', {"name": null, "self_intersection": 0, "kind": "marked"}],'
+            b' "blowups": [' + _E1 + b']}',
+            id="curve name is null",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b', ' + _G + b'],'
+            b' "blowups": [' + _E1 + b', {"name": 5, "center_on": ["G"]}]}',
+            id="blowup name is a number",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b', ' + _G + b'], "base_edges": ["FG"],'
+            b' "blowups": [' + _E1 + b']}',
+            id="edge is a string",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b', ' + _G + b'], "base_edges": [["F", "G"]],'
+            b' "blowups": [{"name": "E1", "center_on": "FG"}]}',
+            id="center is a string",
         ),
     ],
 )

@@ -67,6 +67,20 @@ class TestBuild:
         with pytest.raises(InvalidCenterError):
             build_model([("F", -2, EXCEPTIONAL)], [], [("E1", [])])
 
+    def test_names_must_be_strings(self):
+        # nothing is coerced with str(): "FG" is not the pair F, G
+        fg = [("F", -2, EXCEPTIONAL), ("G", 0, MARKED)]
+        with pytest.raises(sf.ModelError):
+            build_model([("F", -2, EXCEPTIONAL), (None, 0, MARKED)])
+        with pytest.raises(sf.ModelError):
+            build_model(fg, [("F", "G")], [("E1", ["F"]), (5, ["G"])])
+        with pytest.raises(sf.ModelError):
+            build_model(fg, ["FG"])
+        with pytest.raises(InvalidCenterError):
+            build_model(fg, [("F", "G")], [("E1", "FG")])
+        with pytest.raises(InvalidCenterError):
+            build_model(fg, [], [("E1", [None])])
+
     def test_json_roundtrip(self, chain_3215):
         again = ResolutionModel.from_json_dict(chain_3215.to_json_dict())
         assert again.inter == chain_3215.inter

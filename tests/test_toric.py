@@ -261,6 +261,20 @@ class TestMonomialIdeal:
         ring = tc.ToricRing(2)
         ideal = tc.MonomialIdeal(ring, [(2, 0), (3, 1), (0, 2)])
         assert ideal.generators == ((0, 2), (2, 0))
+        # shuffled inputs on both paths (more than 64 distinct points
+        # takes the array path) come back sorted by (sum, coordinates)
+        rng = random.Random(260)
+        ring3 = tc.ToricRing(3)
+        for n in (40, 300):
+            # near the plane of sum 16, so many points are minimal
+            pts = set()
+            while len(pts) < n:
+                a, b = rng.randint(0, 12), rng.randint(0, 12)
+                pts.add((a, b, max(0, 16 - a - b) + rng.randint(0, 2)))
+            pts = list(pts)
+            rng.shuffle(pts)
+            want = sorted(dominance_minimal(pts), key=lambda g: (sum(g), g))
+            assert list(tc.MonomialIdeal(ring3, pts).generators) == want
 
     def test_semigroup_validation(self, q41_ring):
         with pytest.raises(InvalidParametersError):
