@@ -114,8 +114,7 @@ def naive_ceil_closure_by_stages(model, z: Cycle) -> Cycle:
     the one-step pullback of ceil(K_{i-1}) plus E_i, both canonicals
     from the dense adjunction solve.
     """
-    n = model.n_blowups
-    result = z - stage_canonical_dense(model, n).ceil()
+    result = z - stage_canonical_dense(model, model.n_blowups).ceil()
     k_prev = stage_canonical_dense(model, 0).ceil()
     for i, (name, pb) in enumerate(zip(model.blowup_names, model.blowup_pullbacks()), 1):
         here = prefix_model(model, i)

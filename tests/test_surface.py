@@ -373,7 +373,7 @@ class TestRowPass:
                 center = bl.center_on
                 for a in prev:
                     for b in prev:
-                        drop = (a in center and b in center) and (a == b or len(center) == 2)
+                        drop = a in center and b in center
                         assert here[a][b] == prev[a][b] - drop
                     assert here[bl.name][a] == here[a][bl.name] == (a in center)
                 assert here[bl.name][bl.name] == -1
