@@ -18,7 +18,6 @@ from .surface import (
     NegativeMarkedError,
     NonIntegralError,
     NotAntiNefError,
-    StageOutOfRangeError,
     ade,
     build_model,
     hj_chain,

@@ -299,7 +299,6 @@ def main(argv=None) -> int:
         sf.NonIntegralError,
         sf.NegativeMarkedError,
         sf.InvalidParametersError,
-        sf.StageOutOfRangeError,
         px.NoLambdaError,
         px.NotGorensteinError,
         px.NoQualifyingCycleError,

@@ -571,16 +571,35 @@ class ResolutionModel:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ResolutionModel":
-        base = [
-            BaseCurve(c["name"], c["self_intersection"], c["kind"])
-            for c in d.get("base_curves", [])
-        ]
-        blowups = [Blowup(b["name"], b["center_on"]) for b in d.get("blowups", [])]
-        return cls(base, d.get("base_edges", []), blowups)
+        lists = ("base_curves", "base_edges", "blowups")
+        curves, edges, blowups = json_fields(d, (), "model", lists)
+        curve_keys = ("name", "self_intersection", "kind")
+        base = [BaseCurve(*json_fields(c, curve_keys, "base curve")) for c in curves or []]
+        blowups = [Blowup(*json_fields(b, ("name", "center_on"), "blowup")) for b in blowups or []]
+        return cls(base, edges or [], blowups)
 
     def __repr__(self) -> str:
         weights = ", ".join(f"{n}({self.inter[n][n]})" for n in self.names)
         return f"ResolutionModel[{weights}]"
+
+
+def json_fields(
+    d, required: Sequence[str], what: str, optional: Sequence[str] = ()
+) -> list:
+    """The values of the ``required`` keys, then of the ``optional``
+    ones (None when absent), of the input object ``d``. Anything but a
+    JSON object, an object without a required key, or one with any
+    other key is refused: a misspelt key would otherwise be dropped,
+    and a different input would run."""
+    if not isinstance(d, Mapping):
+        raise InvalidParametersError(f"{what} is not a JSON object")
+    unknown = [k for k in d if k not in required and k not in optional]
+    if unknown:
+        raise InvalidParametersError(f"{what} has unknown keys {unknown}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise InvalidParametersError(f"{what} lacks keys {missing}")
+    return [d.get(k) for k in (*required, *optional)]
 
 
 def _is_names(value) -> bool:

@@ -8,8 +8,12 @@ last coordinate over a prefix, so extra congruences cost nothing.
 Monomial ideals are finite exponent-vector sets, Newton polyhedra carry
 exact integer facet data, and membership in a multiplier ideal is the
 interior-point test: the monomial with exponent v lies in the multiplier
-ideal of I at exponent c exactly when v + 1 (the all-ones shift) is
-interior to c times the Newton polyhedron of I.
+ideal of I at exponent c exactly when v + s is interior to c times the
+Newton polyhedron of I (Howald, Trans. AMS 2001; Blickle, Math. Z.
+2004). The shift s is the point with <s, n_i> = 1 on the primitive ray
+generators n_i = e_i*/s_i of the dual lattice, which is the vector of
+the ring's coordinate steps s_i; it is all ones exactly when M projects
+onto every axis, as on every Gorenstein cyclic quotient.
 
 Facets come from one vectorised int64 enumeration for every rank: each
 rank-sized set of generators and coordinate rays gives a normal as the
@@ -27,8 +31,8 @@ by expanding the powers and the product.
 
 The engine behind minimal generators has one membership test: v is a
 member when q<a, v> >= t for every facet normal a and its integer
-threshold t. ``multiplier_monomials`` passes t = p b - q<a, 1> + 1 for
-c = p/q, which is the strict test q<a, v + 1> > p b in integers, and
+threshold t. ``multiplier_monomials`` passes t = p b - q<a, s> + 1 for
+c = p/q, which is the strict test q<a, v + s> > p b in integers, and
 ``integral_closure_monomial`` passes t = b with q = 1. Normals are
 nonnegative, so a facet with t <= 0 holds on the whole semigroup and
 the engine drops it. The engine is a column-minimum search over
@@ -46,9 +50,12 @@ differ by a semigroup element exactly when they compare componentwise,
 so a column minimum is minimal exactly when it lies below the
 staircase of the columns under it: Z[x'] < P[x' - e_i] on every axis
 with x'_i >= 1, where P[y'] is the least Z at or below y', one running
-minimum per axis. One pass suffices: index e_i lies in M, so a member
-v with v_i > c M + index - 1 stays a member after lowering v_i by the
-index, and every minimal generator lies strictly inside the box. The
+minimum per axis. One pass suffices: index e_i lies in M, and a point
+x of the interior of c Newt stays in it when x_i > c M is replaced by
+any value above c M (every generator has g_i <= M). So a member v with
+v_i > c M + index - s_i stays a member after lowering v_i by the index
+(v_i and the index are multiples of s_i, so v_i >= index), and as
+s_i >= 1 every minimal generator lies strictly inside the box. The
 same staircase yields the certificates: a generator of J(ab) lies
 outside J(a) J(b) when it is below the staircase of the pairwise sums.
 
@@ -93,7 +100,7 @@ import numpy as np
 # matrix_rank is unused here but stays importable as toric.matrix_rank:
 # the benchmark's layer tracer rebinds that name
 from .rationals import QMatrix, as_rational, matrix_rank, solve_linear  # noqa: F401
-from .surface import InvalidParametersError
+from .surface import InvalidParametersError, json_fields
 
 # prefix cells per engine pass (64 MiB per int64 grid array)
 _CELL_CAP = 8_000_000
@@ -133,7 +140,9 @@ class ToricRing:
     ``congruences`` is a sequence of (weights, modulus) pairs; the
     lattice M consists of the integer vectors v with weights.v = 0 mod
     modulus for every pair. M always has finite index in Z^rank.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; a ring is its lattice, so two
+    presentations of one M compare and hash equal (the reduced Hermite
+    basis is unique for a lattice).
     """
 
     def __init__(self, rank: int, congruences: Sequence[tuple[Sequence[int], int]] = ()):
@@ -150,14 +159,12 @@ class ToricRing:
         self.rank = rank
         self.congruences = tuple(congs)
 
-    def _key(self):
-        return (self.rank, self.congruences)
-
+    # the basis has rank rows of rank entries, so it fixes the rank too
     def __eq__(self, other) -> bool:
-        return isinstance(other, ToricRing) and self._key() == other._key()
+        return isinstance(other, ToricRing) and self.hermite_basis == other.hermite_basis
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.hermite_basis)
 
     def contains(self, v: Sequence[int]) -> bool:
         """Lattice membership (signs unrestricted)."""
@@ -225,7 +232,9 @@ class ToricRing:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ToricRing":
-        return cls(d["rank"], [(c["weights"], c["modulus"]) for c in d.get("congruences", [])])
+        rank, congs = json_fields(d, ("rank",), "ring", ("congruences",))
+        keys = ("weights", "modulus")
+        return cls(rank, [json_fields(c, keys, "congruence") for c in congs or []])
 
     def __repr__(self) -> str:
         if not self.congruences:
@@ -605,7 +614,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, ring: ToricRing, d: Mapping) -> "MonomialIdeal":
-        return cls(ring, d["generators"])
+        return cls(ring, *json_fields(d, ("generators",), "ideal"))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({len(self.generators)} generators, rank {self.ring.rank})"
@@ -746,15 +755,10 @@ def _box_minimal_impl(
 
 def _multiplier_start(ideal: MonomialIdeal, c: Fraction) -> int:
     """The engine's start bound for J(ideal^c), checked before any
-    Newton polyhedron is built: a ring without unit coordinate steps is
-    refused, and so is a prefix grid past ``_CELL_CAP`` (at rank 8 or
-    more every grid is, and facet enumeration there can take minutes)."""
+    Newton polyhedron is built: a prefix grid past ``_CELL_CAP`` is
+    refused (at rank 8 or more every grid is, and facet enumeration
+    there can take minutes)."""
     ring = ideal.ring
-    if any(s != 1 for s in ring.coordinate_steps):
-        raise InvalidParametersError(
-            "the all-ones interior shift needs unit coordinate projections; "
-            f"this ring has steps {ring.coordinate_steps}"
-        )
     start = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank
     side, m = start + 1, ring.rank - 1
     if side**m > _CELL_CAP:
@@ -766,17 +770,18 @@ def _multiplier_start(ideal: MonomialIdeal, c: Fraction) -> int:
 
 def multiplier_monomials(ideal: MonomialIdeal, c) -> MonomialIdeal:
     """Minimal generators of the multiplier ideal of ``ideal`` at
-    exponent ``c``: semigroup points v with v + 1 interior to c times
-    the Newton polyhedron."""
+    exponent ``c``: semigroup points v with v + s interior to c times
+    the Newton polyhedron, s the ring's coordinate steps."""
     c = as_rational(c)
     if c <= 0:
         raise InvalidParametersError("exponent must be positive")
     start = _multiplier_start(ideal, c)
     facets = ideal.newton_polyhedron().facets
-    # q<a, v + 1> > p b in integers: q<a, v> >= p b - q<a, 1> + 1
+    # q<a, v + s> > p b in integers: q<a, v> >= p b - q<a, s> + 1
     p, q = c.numerator, c.denominator
+    steps = ideal.ring.coordinate_steps
     normals = tuple(a for a, _ in facets)
-    thresholds = tuple(p * b - q * sum(a) + 1 for a, b in facets)
+    thresholds = tuple(p * b - q * sum(map(operator.mul, a, steps)) + 1 for a, b in facets)
     rows = _box_minimal_impl(ideal.ring, normals, thresholds, q, start)
     return MonomialIdeal._from_engine(ideal.ring, rows)
 
@@ -843,13 +848,17 @@ class MonomialCertificate:
         }
 
 
-def _members_mask_box(box: np.ndarray, poly: NewtonPolyhedron, c: Fraction) -> np.ndarray:
+def _members_mask_box(
+    box: np.ndarray, poly: NewtonPolyhedron, c: Fraction, ring: ToricRing
+) -> np.ndarray:
     """Multiplier-ideal membership of every row of ``box`` (rows must
-    lie in the lattice): the all-ones shift, strict on every facet."""
+    lie in ``ring``'s lattice): row v is a member when v + s, s the
+    ring's coordinate steps, passes every facet strictly."""
     p, q = c.numerator, c.denominator
+    shifted = box + np.array(ring.coordinate_steps, dtype=np.int64)
     mask = np.ones(len(box), dtype=bool)
     for a, b in poly.facets:
-        vals = q * ((box + 1) @ np.array(a, dtype=np.int64))
+        vals = q * (shifted @ np.array(a, dtype=np.int64))
         mask &= vals > p * b
     return mask
 
@@ -870,11 +879,11 @@ def _witness_has_no_decomposition(
     )
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     pts = pts[_lattice_mask(ring, pts)]
-    in_a = _members_mask_box(pts, a.newton_polyhedron(), ca)
+    in_a = _members_mask_box(pts, a.newton_polyhedron(), ca, ring)
     if not in_a.any():
         return True
     rest = np.array(w, dtype=np.int64) - pts[in_a]
-    in_b = _members_mask_box(rest, b.newton_polyhedron(), cb)
+    in_b = _members_mask_box(rest, b.newton_polyhedron(), cb, ring)
     return not in_b.any()
 
 
@@ -915,7 +924,7 @@ def _certify(
     if witness is not None:
         w = np.array([witness], dtype=np.int64)
         if (sums <= w).all(axis=1).any() or not _members_mask_box(
-            w, mixed.newton_polyhedron(), c_mixed
+            w, mixed.newton_polyhedron(), c_mixed, a.ring
         )[0]:
             raise AssertionError("witness failed re-verification; internal bug")
         exhaustive_recheck = math.prod(x + 1 for x in witness) <= _WITNESS_SCAN_CAP
@@ -1127,10 +1136,6 @@ def explore_question33(config: ExploreConfig) -> ExplorationReport:
             else:
                 weights.append(rng.randrange(r))
             ring = cyclic_quotient_ring(r, weights)
-        if any(s != 1 for s in ring.coordinate_steps):
-            # outside the all-ones interior criterion (never Gorenstein)
-            skipped += 1
-            continue
         ideal_a = config.ideal_a or _sample_ideal(rng, ring, config)
         ideal_b = config.ideal_b or _sample_ideal(rng, ring, config)
         cert = subadditivity_check_monomial(ideal_a, ideal_b)

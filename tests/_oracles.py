@@ -10,10 +10,11 @@ definiteness, the anti-nef test in d-coordinates, pure-Python
 cofactor expansion for Newton-polyhedron facets, integer ranks of
 tight normals for vertices, per-generator dominance tests for the
 failures of a subadditivity certificate, a column scan for the
-irreducibles of a toric semigroup, and exact Fourier-Motzkin
-feasibility for Newton-polyhedron membership, for membership in a
-Minkowski sum of two of them, and for product membership of
-subadditivity witnesses. Nothing imports the algorithms
+irreducibles of a toric semigroup, a box scan for its coordinate steps
+(the interior shift), and exact Fourier-Motzkin feasibility for
+Newton-polyhedron membership, for membership in a Minkowski sum of two
+of them, and for product membership of subadditivity witnesses under
+that shift. Nothing imports the algorithms
 under test beyond basic data types; the surface of stage s is the model
 of the base graph and the first s blowups (:func:`prefix_model`).
 """
@@ -402,36 +403,52 @@ def in_minkowski_interior_fm(gens_a, gens_b, v) -> bool:
     return _fourier_motzkin_feasible(cons)
 
 
-def fm_product_split(ring, gens_a, gens_b, w) -> tuple[int, ...] | None:
+def fm_product_split(ring, gens_a, gens_b, w, shift=None) -> tuple[int, ...] | None:
     """A lattice point u with u in J(a) and w - u in J(b), or None.
 
-    Members of a multiplier ideal J(a) on a ring whose coordinate
-    steps are all 1 are the semigroup points u with u + (1, .., 1)
-    strictly inside Newt(a). Since J(a) and J(b) are ideals, w lies in
-    J(a) J(b) exactly when such a split exists; every lattice point
+    Members of a multiplier ideal J(a) are the semigroup points u with
+    u + shift strictly inside Newt(a), where ``shift`` is the ring's
+    vector of coordinate steps (all ones when omitted, as on every
+    Gorenstein cyclic quotient). Since J(a) and J(b) are ideals, w lies
+    in J(a) J(b) exactly when such a split exists; every lattice point
     below w is tried, each side decided by Fourier-Motzkin.
     """
+    shift = shift or (1,) * len(w)
     for u in itertools.product(*[range(x + 1) for x in w]):
         if not ring.contains(u):
             continue
-        if not in_polyhedron_fm(gens_a, [x + 1 for x in u], strict=True):
+        if not in_polyhedron_fm(gens_a, [x + s for x, s in zip(u, shift)], strict=True):
             continue
-        if in_polyhedron_fm(gens_b, [x - y + 1 for x, y in zip(w, u)], strict=True):
+        rest = [x - y + s for x, y, s in zip(w, u, shift)]
+        if in_polyhedron_fm(gens_b, rest, strict=True):
             return u
     return None
 
 
-def brute_multiplier_members(ring, gens, c, bound: int) -> set[tuple[int, ...]]:
-    """All multiplier-ideal members in the box, via the interior test
-    decided by Fourier-Motzkin."""
+def brute_multiplier_members(ring, gens, c, bound: int, shift=None) -> set[tuple[int, ...]]:
+    """All multiplier-ideal members in the box: the semigroup points v
+    with v + shift strictly inside c Newt, decided by Fourier-Motzkin
+    (``shift`` is all ones when omitted)."""
+    shift = shift or (1,) * ring.rank
     out = set()
     for v in itertools.product(range(bound + 1), repeat=ring.rank):
         if not ring.semigroup_contains(v):
             continue
-        shifted = tuple(x + 1 for x in v)
+        shifted = tuple(x + s for x, s in zip(v, shift))
         if in_polyhedron_fm(gens, shifted, Fraction(c), strict=True):
             out.add(v)
     return out
+
+
+def brute_coordinate_steps(ring) -> tuple[int, ...]:
+    """Per axis, the least positive i-th coordinate of a lattice point,
+    by a scan of the box [0, L]^rank: L e_j lies in the lattice for L
+    the lcm of the moduli, so every coordinate can be reduced into it."""
+    period = lcm(*(r for _, r in ring.congruences)) if ring.congruences else 1
+    inside = [
+        v for v in itertools.product(range(period + 1), repeat=ring.rank) if ring.contains(v)
+    ]
+    return tuple(min(v[i] for v in inside if v[i]) for i in range(ring.rank))
 
 
 def minimal_steps(ring, cap: int = 10**6) -> tuple[tuple[int, ...], ...]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ from subadd import cli
 from subadd import proximity as px
 from subadd.cli import main
 from subadd.reproduce import UnknownExampleError, case_ids, run_case
+from subadd.toric import ToricRing
+
+from _oracles import brute_coordinate_steps, brute_multiplier_members, dominance_minimal
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +158,21 @@ def test_out_of_scale_input_exits_3(tmp_path, capsys):
     assert code == 3
     assert report["status"] == "error"
     assert report["error"].startswith("OutOfScaleError")
+
+
+@pytest.mark.parametrize("verb", ["multiplier", "checkmono"])
+def test_ring_past_the_hermite_cap_exits_3(tmp_path, capsys, verb):
+    # rank 201 passes the 200-column cap of the Hermite basis, which the
+    # multiplier's box bound reads and the ring comparison of checkmono
+    # reads first: both are out of scale, not internal errors
+    _write_inputs(tmp_path, {"ring": {"rank": 201}, "ideal": {"generators": [[1] + [0] * 200]}})
+    ideal = str(tmp_path / "ideal.json")
+    args = ["--ideal", ideal, "-c", "1"] if verb == "multiplier" else [
+        "--ideal-a", ideal, "--ideal-b", ideal
+    ]
+    code, report = run(capsys, verb, "--ring", str(tmp_path / "ring.json"), *args)
+    assert code == 3
+    assert report["error"] == "OutOfScaleError: Hermite basis of 201 columns; out of desk scale"
 
 
 def test_strongmono_499_generator_case_completes(tmp_path, capsys):
@@ -480,6 +499,41 @@ _E1 = b'{"name": "E1", "center_on": ["F"]}'
             b' "blowups": [{"name": "E1", "center_on": "FG"}]}',
             id="center is a string",
         ),
+        # unknown keys are refused, not dropped: a misspelt "congruences"
+        # would run the q41 ideal on Z^3, and "base_edge" would leave the
+        # two curves disjoint
+        pytest.param(
+            _CHECKMONO, 2, b'{"rank": 3, "congruence": [{"weights": [35, 28, 20], "modulus": 41}]}',
+            id="ring key misspelt",
+        ),
+        pytest.param(
+            _CHECKMONO, 2,
+            b'{"rank": 3, "congruences": [{"weights": [35, 28, 20], "modulus": 41, "moduli": [2]}]}',
+            id="congruence has an unknown key",
+        ),
+        pytest.param(
+            _CHECKMONO, 4, b'{"generators": [[41, 0, 0]], "generator": [[8, 1, 1]]}',
+            id="ideal has an unknown key",
+        ),
+        pytest.param(_CHECKMONO, 4, b'{}', id="ideal lacks its generators"),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b', ' + _G + b'], "base_edge": [["F", "G"]],'
+            b' "blowups": [' + _E1 + b']}',
+            id="model key misspelt",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [{"name": "F", "self_intersection": -2, "kind": "exceptional",'
+            b' "genus": 1}], "blowups": [' + _E1 + b']}',
+            id="base curve has an unknown key",
+        ),
+        pytest.param(
+            _CHECK2D, 2,
+            b'{"base_curves": [' + _F + b'], "blowups": [{"name": "E1", "center_on": ["F"],'
+            b' "centre_on": ["F"]}]}',
+            id="blowup has an unknown key",
+        ),
     ],
 )
 def test_bad_input_file_is_input_error(tmp_path, capsys, argv, slot, content):
@@ -679,6 +733,11 @@ _GOLDEN = [
     ("reproduce_2.6.2.json", ["reproduce", "2.6.2"]),
     # marked curves: total transforms solved on the base graph
     ("reproduce_2.3.2.json", ["reproduce", "2.3.2"]),
+    # 1/4(1,2,2) has coordinate steps (2, 1, 1): the interior shift is not
+    # all ones
+    ("multiplier_q4_c3_2.json",
+     ["multiplier", "--ring", "tests/data/q4_ring.json",
+      "--ideal", "tests/data/q4_ideal.json", "-c", "3/2"]),
 ]
 
 
@@ -692,3 +751,19 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch, name, argv):
         return re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', data)
 
     assert mask(out.read_bytes()) == mask((DATA / "golden" / name).read_bytes())
+
+
+def test_non_unit_golden_matches_fm():
+    # the golden generators on 1/4(1,2,2) are the minimal semigroup points
+    # v with v + s strictly inside (3/2) Newt, s the coordinate steps from
+    # a box scan, by Fourier-Motzkin
+    ring = ToricRing.from_json_dict(json.loads((DATA / "q4_ring.json").read_text()))
+    gens = json.loads((DATA / "q4_ideal.json").read_text())["generators"]
+    report = json.loads((DATA / "golden" / "multiplier_q4_c3_2.json").read_bytes())
+    shift = brute_coordinate_steps(ring)
+    assert shift == (2, 1, 1)
+    # every minimal generator lies below ceil(c M) + index + rank
+    members = brute_multiplier_members(ring, gens, Fraction(3, 2), 12 + 4 + 3, shift)
+    golden = report["results"]["multiplier_generators"]
+    assert set(map(tuple, golden)) == dominance_minimal(members)
+    assert len(golden) == 17

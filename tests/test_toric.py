@@ -12,6 +12,7 @@ from subadd import toric as tc
 from subadd.surface import InvalidParametersError
 
 from _oracles import (
+    brute_coordinate_steps,
     brute_multiplier_members,
     dominance_minimal,
     fm_product_split,
@@ -84,8 +85,7 @@ class TestToricRing:
                 box = list(itertools.product(range(period + 1), repeat=rank))
                 inside = [v for v in box if ring.contains(v)]
                 assert ring.index * sum(max(v) < period for v in inside) == period**rank
-                steps = tuple(min(v[i] for v in inside if v[i]) for i in range(rank))
-                assert ring.coordinate_steps == steps, ring
+                assert ring.coordinate_steps == brute_coordinate_steps(ring), ring
 
     @pytest.mark.parametrize(
         "congs, index",
@@ -132,6 +132,16 @@ class TestToricRing:
 
     def test_json_roundtrip(self, q41_ring):
         assert tc.ToricRing.from_json_dict(q41_ring.to_json_dict()) == q41_ring
+
+    def test_a_ring_is_its_lattice(self):
+        # v1 + v2 + v3 = 0 mod 3 and 2(v1 + v2 + v3) = 0 mod 3 cut out one
+        # lattice, so the two presentations are one ring
+        one = tc.ToricRing(3, [((1, 1, 1), 3)])
+        two = tc.ToricRing(3, [((2, 2, 2), 3)])
+        assert one.congruences != two.congruences
+        assert one == two and hash(one) == hash(two) and len({one, two}) == 1
+        assert one != tc.ToricRing(3, [((1, 2, 0), 3)])
+        assert one != tc.ToricRing(3) and tc.ToricRing(2) != tc.ToricRing(3)
 
     def test_gorenstein_predicate(self):
         assert tc.is_gorenstein_cyclic(10, (7, 7, 6))
@@ -637,7 +647,7 @@ class TestMultiplier:
 
     def test_engine_matches_fm_on_multi_congruence_rings(self):
         rng = random.Random(777)
-        checked = 0
+        checked = non_unit = 0
         for _ in range(30):
             rank = rng.choice([2, 3])
             congs = []
@@ -645,8 +655,7 @@ class TestMultiplier:
                 r = rng.randint(2, 5)
                 congs.append((tuple(rng.randrange(r) for _ in range(rank)), r))
             ring = tc.ToricRing(rank, congs)
-            if any(s != 1 for s in ring.coordinate_steps):
-                continue
+            shift = brute_coordinate_steps(ring)
             gens = set()
             tries = 0
             while len(gens) < 2 and tries < 400:
@@ -661,11 +670,12 @@ class TestMultiplier:
             mine = set(tc.multiplier_monomials(ideal, c).generators)
             bound = 2 * ideal.max_coordinate + ring.index + rank + 3
             brute = dominance_minimal(
-                brute_multiplier_members(ring, ideal.generators, c, bound)
+                brute_multiplier_members(ring, ideal.generators, c, bound, shift)
             )
             assert mine == brute
             checked += 1
-        assert checked >= 15
+            non_unit += shift != (1,) * rank
+        assert checked >= 15 and non_unit >= 5
 
     @pytest.mark.parametrize(
         "ring, gens, c",
@@ -893,12 +903,14 @@ class TestMultiplier:
                 check()
             assert time.perf_counter() - start < 1.0
         assert ideal._newton is None
-        # a ring without unit coordinate steps is still an input error
+        # a ring without unit coordinate steps is sized the same way
         shifted = tc.MonomialIdeal(
             tc.cyclic_quotient_ring(4, (1,) + (2,) * 7), [tuple(4 * x for x in g) for g in gens]
         )
-        with pytest.raises(InvalidParametersError):
+        assert shifted.ring.coordinate_steps == (2,) + (1,) * 7
+        with pytest.raises(tc.OutOfScaleError, match="prefix grid"):
             tc.subadditivity_check_monomial(shifted, shifted)
+        assert shifted._newton is None
 
     def test_upward_closed_randomized(self, q41_ring, q41_ideal):
         j1 = tc.multiplier_monomials(q41_ideal, 1)
@@ -923,10 +935,23 @@ class TestMultiplier:
         assert all(max(g) < bound for g in j1.generators)
 
     def test_shifted_ring_rejected(self):
+        # 1/4(1,2,2) has coordinate steps (2, 1, 1): its interior shift,
+        # here read from a box scan, is not all ones, and the engine must
+        # agree with the oracle under that shift, not under all ones
         ring = tc.cyclic_quotient_ring(4, (1, 2, 2))
-        ideal = tc.MonomialIdeal(ring, [(4, 0, 0)])
-        with pytest.raises(InvalidParametersError):
-            tc.multiplier_monomials(ideal, 1)
+        shift = brute_coordinate_steps(ring)
+        assert shift == (2, 1, 1)
+        differs = 0
+        for gens in ([(4, 0, 0)], [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 1, 0)]):
+            ideal = tc.MonomialIdeal(ring, gens)
+            for c in (Fraction(1, 2), 1, Fraction(3, 2)):
+                mine = set(tc.multiplier_monomials(ideal, c).generators)
+                bound = math.ceil(c * ideal.max_coordinate) + ring.index + ring.rank + 1
+                brute = brute_multiplier_members(ring, ideal.generators, c, bound, shift)
+                assert mine == dominance_minimal(brute), (gens, c)
+                ones = brute_multiplier_members(ring, ideal.generators, c, bound)
+                differs += mine != dominance_minimal(ones)
+        assert differs
 
 
 class TestIntegralClosure:
@@ -966,6 +991,25 @@ class TestSubadditivityChecks:
         unit = tc.MonomialIdeal.unit(q41_ring)
         cert = tc.subadditivity_check_monomial(unit, unit)
         assert cert.verdict
+
+    def test_check_across_presentations_of_one_lattice(self):
+        # the weights (1,1,1) and (2,2,2) mod 3 cut out one lattice, so
+        # ideals over the two presentations share a ring; a different
+        # lattice still does not
+        one = tc.ToricRing(3, [((1, 1, 1), 3)])
+        two = tc.ToricRing(3, [((2, 2, 2), 3)])
+        gens_a, gens_b = [(2, 1, 0), (2, 0, 4)], [(3, 0, 0), (0, 3, 3)]
+        within = tc.strong_subadd_check_monomial(
+            tc.MonomialIdeal(one, gens_a), tc.MonomialIdeal(one, gens_b), 1, 1
+        )
+        across = tc.strong_subadd_check_monomial(
+            tc.MonomialIdeal(one, gens_a), tc.MonomialIdeal(two, gens_b), 1, 1
+        )
+        assert within.witness == (2, 2, 2)
+        assert across.to_json_dict() == within.to_json_dict()
+        other = tc.MonomialIdeal(tc.ToricRing(3, [((1, 2, 0), 3)]), [(3, 0, 0), (0, 0, 3)])
+        with pytest.raises(tc.RingMismatchError):
+            tc.strong_subadd_check_monomial(tc.MonomialIdeal(one, gens_b), other, 1, 1)
 
     def test_q41_counterexample(self, q41_ideal):
         cert = tc.subadditivity_check_monomial(q41_ideal, q41_ideal)
@@ -1034,8 +1078,6 @@ class TestSubadditivityChecks:
             if case == "multi-congruence":
                 extra = (tuple(rng.randrange(2) for _ in range(rank)), 2)
                 ring = tc.ToricRing(rank, ring.congruences + (extra,))
-                if any(s != 1 for s in ring.coordinate_steps):
-                    continue
             a = tc._sample_ideal(rng, ring, cfg)
             b = tc._sample_ideal(rng, ring, cfg)
             if case == "rational-exponents":
@@ -1208,12 +1250,11 @@ class TestExplorer:
     @pytest.mark.parametrize("gorenstein_only", [True, False], ids=["gorenstein", "all-rings"])
     def test_rank_2_never_violates(self, gorenstein_only):
         # every cyclic quotient surface singularity is log terminal, and
-        # the two-dimensional theorem holds there; without the filter the
-        # rings with a non-unit coordinate step are skipped
+        # the two-dimensional theorem holds there; without the filter that
+        # takes in the rings with a non-unit coordinate step
         cfg = tc.ExploreConfig(rank=2, trials=300, seed=1, gorenstein_only=gorenstein_only)
         rep = tc.explore_question33(cfg)
-        counts = (300, 0) if gorenstein_only else (158, 142)
-        assert (rep.trials_run, rep.trials_skipped) == counts
+        assert (rep.trials_run, rep.trials_skipped) == (300, 0)
         assert not rep.violations
 
     def test_rank_4_violation_confirmed_by_fm(self):
@@ -1231,6 +1272,26 @@ class TestExplorer:
         gens_b = smallest["ideal_b"]["generators"]
         assert in_minkowski_interior_fm(gens_a, gens_b, [x + 1 for x in witness])
         assert fm_product_split(ring, gens_a, gens_b, witness) is None
+
+    def test_rank_3_non_unit_violation_confirmed_by_fm(self):
+        # without the Gorenstein filter the smallest witness of this run
+        # lies on 1/10(2, 0, 9), whose coordinate steps are (1, 1, 2)
+        cfg = tc.ExploreConfig(rank=3, trials=20, seed=4, gorenstein_only=False)
+        rep = tc.explore_question33(cfg)
+        assert (rep.trials_run, rep.trials_skipped) == (20, 0)
+        smallest = min(
+            rep.violations, key=lambda v: math.prod(x + 1 for x in v["certificate"]["witness"])
+        )
+        witness = smallest["certificate"]["witness"]
+        ring = tc.ToricRing.from_json_dict(smallest["ring"])
+        shift = brute_coordinate_steps(ring)
+        assert (witness, shift) == ([22, 3, 4], (1, 1, 2))
+        # in J(ab) and with no split into J(a) and J(b) under that shift,
+        # by the oracle that uses neither the engine nor its facets
+        gens_a = smallest["ideal_a"]["generators"]
+        gens_b = smallest["ideal_b"]["generators"]
+        assert in_minkowski_interior_fm(gens_a, gens_b, [x + s for x, s in zip(witness, shift)])
+        assert fm_product_split(ring, gens_a, gens_b, witness, shift) is None
 
     def test_notes_flag_external_fact(self):
         rep = tc.explore_question33(tc.ExploreConfig(trials=0))
