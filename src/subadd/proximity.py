@@ -172,14 +172,10 @@ def _pd_rows(matrix, d: Sequence[int | Fraction]) -> list[int | Fraction]:
     return [sum(pij * dj for pij, dj in zip(row, d)) for row in matrix]
 
 
-def lambda_set(
-    model: ResolutionModel, prox: ProximityData | None = None
-) -> tuple[int, ...]:
+def lambda_set(model: ResolutionModel) -> tuple[int, ...]:
     """Indices L (into the blowup order) with ceil(K) equal to the sum
     of the pullbacks of E_i over i in L; raises NoLambdaError when no
     such subset exists."""
-    if prox is None:
-        prox = proximity_data(model)
     ceil_k = model.relative_canonical.ceil()
     dc = d_coordinates(model, ceil_k)
     if dc.base:
@@ -273,7 +269,7 @@ def computation_sequence(
         raise NotAntiNefError("computation sequences start from anti-nef cycles")
     if prox is None:
         prox = proximity_data(model)
-    lam = lambda_set(model, prox)
+    lam = lambda_set(model)
     dc = d_coordinates(model, z)
     d0 = dc.d
     d = _initial_step(d0, lam)

@@ -46,12 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rationals import (
-    QMatrix,
-    exact,
-    is_negative_definite,
-    solve_linear,
-)
+from .rationals import exact, is_negative_definite, solve_linear
 
 EXCEPTIONAL = "exceptional"
 MARKED = "marked"
@@ -322,7 +317,7 @@ class ResolutionModel:
             c.name for c in self.base_curves if c.kind == EXCEPTIONAL
         )
         exc0 = self._base_exceptional
-        self._base_block = QMatrix([[base[a][b] for b in exc0] for a in exc0])
+        self._base_block = [[base[a][b] for b in exc0] for a in exc0]
         if not is_negative_definite(self._base_block):
             raise NotNegativeDefiniteError(
                 "exceptional intersection block is not negative definite"
@@ -362,12 +357,12 @@ class ResolutionModel:
                 f"stage {stage} outside 0..{self.n_blowups}"
             )
 
-    def intersection_matrix(self, curves: Sequence[str] | None = None) -> QMatrix:
-        """Intersection matrix of the final surface over ``curves``
-        (default: every curve)."""
+    def intersection_matrix(self, curves: Sequence[str] | None = None) -> list[list[int]]:
+        """Rows of the intersection matrix of the final surface over
+        ``curves`` (default: every curve)."""
         if curves is None:
             curves = self.names
-        return QMatrix([[self.inter[a][b] for b in curves] for a in curves])
+        return [[self.inter[a][b] for b in curves] for a in curves]
 
     def _validate_support(self, z: Cycle, stage: int | None = None) -> None:
         allowed = self.inter if stage is None else self.stage_names(stage)

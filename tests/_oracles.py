@@ -3,7 +3,8 @@
 Everything here recomputes library results by a different route: box
 enumeration for anti-nef closures and fundamental cycles, one dense
 Gauss-Jordan solve per stage for relative canonical divisors and one
-on the final surface for total transforms of marked curves, the
+on the final surface for total transforms of marked curves, rank and
+determinant by Gaussian elimination over Fractions, the
 rounded closure formula stage by stage on prefix models, the
 blowup rule replayed with cofactor-expansion minors for negative
 definiteness, the anti-nef test in d-coordinates, pure-Python
@@ -97,14 +98,37 @@ def _fraction_solve(rows, rhs) -> list[Fraction]:
     return [row[n] for row in aug]
 
 
+def fraction_rank_det(rows) -> tuple[int, Fraction | None]:
+    """Rank of the rows and, for a square matrix, its determinant (1 for
+    the empty matrix), by Gaussian elimination over Fractions; the
+    determinant is None for a non-square matrix."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            det = -det
+        det *= a[rank][col]
+        for r in range(rank + 1, len(a)):
+            f = a[r][col] / a[rank][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank, det if len(a) == ncols else None
+
+
 def stage_canonical_dense(model, stage: int) -> Cycle:
     """K of the stage-``stage`` surface from one dense solve of the
     adjunction system K.E = -E^2 - 2 over that stage's exceptional
     curves."""
     exc = [n for n in model.stage_names(stage) if model.kind[n] == EXCEPTIONAL]
     m = prefix_model(model, stage).intersection_matrix(curves=exc)
-    rhs = [-m.entry(i, i) - 2 for i in range(len(exc))]
-    return Cycle(dict(zip(exc, _fraction_solve(m.data, rhs))))
+    rhs = [-m[i][i] - 2 for i in range(len(exc))]
+    return Cycle(dict(zip(exc, _fraction_solve(m, rhs))))
 
 
 def naive_ceil_closure_by_stages(model, z: Cycle) -> Cycle:
@@ -134,7 +158,7 @@ def total_transform_dense(model, name: str) -> Cycle:
     x.E = -D.E on every exceptional curve E."""
     exc = model.exceptional
     m = model.intersection_matrix(curves=exc)
-    x = _fraction_solve(m.data, [-model.inter[name][e] for e in exc])
+    x = _fraction_solve(m, [-model.inter[name][e] for e in exc])
     return Cycle({name: 1, **dict(zip(exc, x))})
 
 

@@ -437,6 +437,23 @@ def test_explore_verb(capsys):
     assert report["results"]["seed"] == 11
 
 
+def test_explore_pinned_non_gorenstein_ring_finds_violation(capsys):
+    # the Gorenstein filter applies to drawn rings only
+    code, report = run(
+        capsys,
+        "explore",
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal-a", str(DATA / "q41_ideal.json"),
+        "--ideal-b", str(DATA / "q41_ideal.json"),
+        "--trials", "1",
+    )
+    assert code == 1
+    assert report["status"] == "violation"
+    results = report["results"]
+    assert (results["trials_run"], results["trials_skipped"]) == (1, 0)
+    assert results["violations"][0]["certificate"]["witness"] == [10, 3, 7]
+
+
 _CHECK2D = ["check2d", "--model", str(DATA / "a1_model.json"),
             "--ideal-a", str(DATA / "fa.json"), "--ideal-b", str(DATA / "fa.json")]
 _CHECKMONO = ["checkmono", "--ring", str(DATA / "q41_ring.json"),

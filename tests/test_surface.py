@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from subadd import surface as sf
-from subadd.rationals import QMatrix, is_negative_definite
+from subadd.rationals import is_negative_definite
 from subadd.surface import (
     EXCEPTIONAL,
     MARKED,
@@ -138,14 +138,14 @@ class TestDefiniteness:
                 blowups.append((new, center))
             block = replay_exceptional_block(curves, edges, blowups)
             definite = negative_definite_by_minors(block)
-            assert is_negative_definite(QMatrix(block)) == definite
+            assert is_negative_definite(block) == definite
             try:
                 model = build_model(curves, edges, blowups)
             except NotNegativeDefiniteError:
                 assert not definite
             else:
                 assert definite
-                assert model.intersection_matrix(curves=model.exceptional) == QMatrix(block)
+                assert model.intersection_matrix(curves=model.exceptional) == block
             seen.add((definite, bool(blowups)))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -364,7 +364,7 @@ class TestRowPass:
             for a, b in model.base_edges:
                 graph[index[a]][index[b]] += 1
                 graph[index[b]][index[a]] += 1
-            assert prefix_model(model, 0).intersection_matrix() == QMatrix(graph)
+            assert prefix_model(model, 0).intersection_matrix() == graph
             # each stage is the one before with its blowup rule applied,
             # and the last is the final surface
             prev = prefix_model(model, 0).inter

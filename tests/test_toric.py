@@ -1223,6 +1223,8 @@ class TestExplorer:
         assert rep.violations[0]["certificate"]["witness"] == [10, 3, 7]
 
     def test_gorenstein_filter_skips_pinned_ring(self, q41_ring, q41_ideal):
+        # the filter draws rings; a pinned ring, Gorenstein or not (1/41
+        # (35, 28, 20) is not), runs as given in every trial
         rep = tc.explore_question33(
             tc.ExploreConfig(
                 trials=2,
@@ -1232,7 +1234,9 @@ class TestExplorer:
                 ideal_b=q41_ideal,
             )
         )
-        assert rep.trials_run == 0 and rep.trials_skipped == 2
+        assert (rep.trials_run, rep.trials_skipped) == (2, 0)
+        assert [v["trial"] for v in rep.violations] == [0, 1]
+        assert all(v["certificate"]["witness"] == [10, 3, 7] for v in rep.violations)
 
     def test_deterministic(self):
         cfg = tc.ExploreConfig(trials=25, seed=9, max_coordinate=12)
@@ -1296,3 +1300,77 @@ class TestExplorer:
     def test_notes_flag_external_fact(self):
         rep = tc.explore_question33(tc.ExploreConfig(trials=0))
         assert any("standard toric" in n for n in rep.notes)
+
+
+def _metamorphic_case(rng: random.Random, rank: int):
+    """A cyclic quotient 1/r(w) of the given rank and two ideals of 2-3
+    nonzero semigroup points with coordinates below 2r. About half the
+    rings have every weight but one in a proper divisor of r, which
+    gives that coordinate a step s_i > 1."""
+    r = rng.randint(2, 12)
+    weights = [rng.randrange(r) for _ in range(rank)]
+    divisors = [d for d in range(2, r) if r % d == 0]
+    if divisors and rng.random() < 0.5:
+        d, keep = rng.choice(divisors), rng.randrange(rank)
+        weights = [w if i == keep else d * rng.randrange(r // d) for i, w in enumerate(weights)]
+    ring = tc.cyclic_quotient_ring(r, weights)
+
+    def ideal():
+        gens = set()
+        while len(gens) < rng.randint(2, 3):
+            v = tuple(rng.randrange(2 * r) for _ in range(rank))
+            if any(v) and ring.contains(v):
+                gens.add(v)
+        return tc.MonomialIdeal(ring, gens)
+
+    return r, weights, ideal(), ideal()
+
+
+_METAMORPHIC_CASES = [(rank, seed) for rank in (2, 3, 4) for seed in range(40)]
+
+
+class TestMetamorphic:
+    """Two maps that must commute with the engine, checked without an
+    oracle on 120 seeded rings: a coordinate permutation, and the
+    division by the coordinate steps s onto the unit-step ring
+    1/r(w_i s_i)."""
+
+    def test_permutation(self):
+        verdicts = set()
+        for rank, seed in _METAMORPHIC_CASES:
+            rng = random.Random(f"permute:{rank}:{seed}")
+            r, weights, a, b = _metamorphic_case(rng, rank)
+            perm = rng.sample(range(rank), rank)
+
+            def move(points):
+                return {tuple(v[p] for p in perm) for v in points}
+
+            ring = tc.cyclic_quotient_ring(r, [weights[p] for p in perm])
+            a2, b2 = (tc.MonomialIdeal(ring, move(i.generators)) for i in (a, b))
+            got = tc.multiplier_monomials(a2, 1).generators
+            assert set(got) == move(tc.multiplier_monomials(a, 1).generators)
+            cert = tc.subadditivity_check_monomial(a, b)
+            cert2 = tc.subadditivity_check_monomial(a2, b2)
+            assert cert2.verdict == cert.verdict
+            assert set(cert2.j_product.generators) == move(cert.j_product.generators)
+            assert set(cert2.failures) == move(cert.failures)
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    def test_rescaling(self):
+        scaled = 0
+        for rank, seed in _METAMORPHIC_CASES:
+            r, weights, a, _ = _metamorphic_case(random.Random(f"rescale:{rank}:{seed}"), rank)
+            s = a.ring.coordinate_steps
+            ring = tc.cyclic_quotient_ring(r, [w * t for w, t in zip(weights, s)])
+            assert ring.coordinate_steps == (1,) * rank
+
+            def down(points):
+                return {tuple(x // t for x, t in zip(v, s)) for v in points}
+
+            a2 = tc.MonomialIdeal(ring, down(a.generators))
+            for c in (Fraction(1, 2), 1, Fraction(3, 2)):
+                got = tc.multiplier_monomials(a2, c).generators
+                assert set(got) == down(tc.multiplier_monomials(a, c).generators)
+            scaled += s != (1,) * rank
+        assert scaled >= 10
