@@ -26,7 +26,6 @@ from .proximity import (
     ClassificationViolationError,
     NoLambdaError,
     NoQualifyingCycleError,
-    NotGorensteinError,
     computation_sequence,
     subadditivity_check_2d,
 )

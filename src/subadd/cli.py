@@ -117,30 +117,45 @@ def _cmd_strongmono(args, inputs: dict) -> tuple[dict, bool]:
     return cert.to_json_dict(), cert.verdict
 
 
+# explore's options for drawing rings and ideals: the parser leaves them
+# None unless given, so that a given one is told apart from its default,
+# and ExploreConfig supplies the defaults
+_DRAWING = ("rank", "modulus_min", "modulus_max", "max_generators", "max_coordinate")
+
+
 def _cmd_explore(args, inputs: dict) -> tuple[dict, bool]:
     ring = _load(args.ring, "ring", tc.ToricRing.from_json_dict, inputs) if args.ring else None
-    ideal_a = ideal_b = None
-    if args.ideal_a or args.ideal_b:
-        if ring is None:
-            raise ParseError("pinned ideals need --ring")
-        parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
-        if args.ideal_a:
-            ideal_a = _load(args.ideal_a, "ideal", parse_ideal, inputs)
-        if args.ideal_b:
-            ideal_b = _load(args.ideal_b, "ideal", parse_ideal, inputs)
+    if (args.ideal_a or args.ideal_b) and ring is None:
+        raise ParseError("pinned ideals need --ring")
+    if ring is not None and args.rank not in (None, ring.rank):
+        raise ParseError(f"--rank {args.rank} differs from the rank {ring.rank} of --ring")
+    # a pinned ring draws no ring, and two pinned ideals draw no ideal
+    unused = (["modulus_min", "modulus_max"] if ring is not None else []) + (
+        ["max_generators", "max_coordinate"] if args.ideal_a and args.ideal_b else []
+    )
+    unused = ["--" + n.replace("_", "-") for n in unused if getattr(args, n) is not None]
+    if ring is not None and args.no_gorenstein_filter:
+        unused.append("--no-gorenstein-filter")
+    if unused:
+        raise ParseError(f"{', '.join(unused)} given, but the pinned inputs draw nothing")
+    parse_ideal = partial(tc.MonomialIdeal.from_json_dict, ring)
+    ideal_a, ideal_b = (
+        _load(path, "ideal", parse_ideal, inputs) if path else None
+        for path in (args.ideal_a, args.ideal_b)
+    )
+    args.rank = getattr(ring, "rank", args.rank)  # a pinned ring sets the rank
+    drawing = {n: getattr(args, n) for n in _DRAWING if getattr(args, n) is not None}
     config = tc.ExploreConfig(
-        rank=args.rank,
         trials=args.trials,
         seed=args.seed,
-        modulus_min=args.modulus_min,
-        modulus_max=args.modulus_max,
-        max_generators=args.max_generators,
-        max_coordinate=args.max_coordinate,
         gorenstein_only=not args.no_gorenstein_filter,
         ring=ring,
         ideal_a=ideal_a,
         ideal_b=ideal_b,
+        **drawing,
     )
+    # the report's arguments show the values that ran
+    vars(args).update((n, getattr(config, n)) for n in _DRAWING)
     report = tc.explore_question33(config)
     return report.to_json_dict(), not report.violations
 
@@ -200,13 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("explore", help="randomized monomial subadditivity search")
-    p.add_argument("--rank", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--modulus-min", type=int, default=2, dest="modulus_min")
-    p.add_argument("--modulus-max", type=int, default=13, dest="modulus_max")
-    p.add_argument("--max-generators", type=int, default=4, dest="max_generators")
-    p.add_argument("--max-coordinate", type=int, default=30, dest="max_coordinate")
+    for name in _DRAWING:
+        p.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p.add_argument("--no-gorenstein-filter", action="store_true")
     p.add_argument("--ring")
     p.add_argument("--ideal-a", dest="ideal_a")
@@ -300,7 +312,6 @@ def main(argv=None) -> int:
         sf.NegativeMarkedError,
         sf.InvalidParametersError,
         px.NoLambdaError,
-        px.NotGorensteinError,
         px.NoQualifyingCycleError,
         tc.RingMismatchError,
     ) as exc:

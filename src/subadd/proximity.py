@@ -9,9 +9,11 @@ matrix P, and the anti-nef closure of Z - ceil(K) into a short integer
 process on the d-vector (the classical unloading computation). This
 module implements that machinery, the paired sequences that compare
 the closures of F_a, F_b and F_a + F_b, subadditivity certificates for
-pairs of anti-nef cycles, the closed-form closure formula available
-when K is integral, and the two strong-subadditivity counterexample
-constructions on non-regular log terminal models.
+pairs of anti-nef cycles, the rounded closure formula that fails on
+fractional K, and the two strong-subadditivity counterexample
+constructions on non-regular log terminal models. The closed-form
+closure formula for integral K, which that rounded one imitates, is a
+test oracle (``gorenstein_closure_formula`` in ``tests/_oracles.py``).
 
 The proximity relation is derived twice, from the blowup history and
 from intersection numbers of pullbacks against strict transforms, and
@@ -58,10 +60,6 @@ class ClassificationViolationError(RuntimeError):
     """A paired-sequence triple matched none of the four legal forms."""
 
 
-class NotGorensteinError(ValueError):
-    """The closed-form closure formula needs an integral K."""
-
-
 class NoQualifyingCycleError(ValueError):
     """The reducible counterexample search box contains no usable cycle."""
 
@@ -73,9 +71,8 @@ class ProximityData:
     ``matrix`` is indexed by blowup order: the (i, j) entry is 1 on the
     diagonal, -1 when blowup j is centered on the strict transform of
     blowup curve i, and 0 otherwise. ``prox`` maps each blowup curve to
-    the earlier blowup curves its center lies on, ``prox_base`` to the
-    stage-0 curves its center lies on, and ``order`` is the transitive
-    closure of ``prox``.
+    the earlier blowup curves its center lies on, and ``prox_base`` to
+    the stage-0 curves its center lies on.
     """
 
     model: ResolutionModel
@@ -83,7 +80,6 @@ class ProximityData:
     prox: dict[str, frozenset[str]]
     prox_base: dict[str, frozenset[str]]
     pullbacks: dict[str, Cycle]
-    order: dict[str, frozenset[str]]
 
 
 def proximity_data(model: ResolutionModel) -> ProximityData:
@@ -119,18 +115,12 @@ def proximity_data(model: ResolutionModel) -> ProximityData:
         )
         for i in range(n)
     )
-
-    order: dict[str, set[str]] = {name: set(prox[name]) for name in names}
-    for name in names:  # transitive closure; creation order respects prox
-        for t in list(order[name]):
-            order[name] |= order[t]
     return ProximityData(
         model=model,
         matrix=matrix,
         prox=prox,
         prox_base=prox_base,
         pullbacks=pullbacks,
-        order={k: frozenset(v) for k, v in order.items()},
     )
 
 
@@ -509,33 +499,9 @@ def _stage_row(model: ResolutionModel, z: Cycle, name: str) -> int | Fraction:
     return sum(z.coeff(c) for c in model.center_of[name]) - z.coeff(name)
 
 
-def gorenstein_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
-    """Closed form for the closure of Z - K when K is integral:
-
-        Z - K + sum of pullback(E_i) over blowups i whose stage-i
-        pushforward of Z is orthogonal to E_i.
-
-    Raises NotGorensteinError on fractional K. The result equals the
-    Laufer-loop closure on every integral-K model; the analogous
-    formula with ceil(K) fails in general (see
-    :func:`naive_ceil_closure_formula`).
-    """
-    k = model.relative_canonical
-    if not k.is_integral():
-        raise NotGorensteinError("relative canonical divisor is not integral")
-    if not z.is_integral():
-        raise NonIntegralError("the closure formula needs an integral cycle")
-    if not model.is_anti_nef(z):
-        raise NotAntiNefError("the closure formula needs an anti-nef cycle")
-    result = z - k
-    for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
-        if _stage_row(model, z, name) == 0:
-            result = result + pb
-    return result
-
-
 def naive_ceil_closure_formula(model: ResolutionModel, z: Cycle) -> Cycle:
-    """The ceil(K) analog of the integral-K closure formula.
+    """The ceil(K) analog of the integral-K closure formula
+    (``gorenstein_closure_formula`` in ``tests/_oracles.py``).
 
     Adds pullback(E_i) when the stage-i pushforward of Z is orthogonal
     to E_i and rounding commutes with the i-th pullback step of the

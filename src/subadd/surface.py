@@ -357,13 +357,6 @@ class ResolutionModel:
                 f"stage {stage} outside 0..{self.n_blowups}"
             )
 
-    def intersection_matrix(self, curves: Sequence[str] | None = None) -> list[list[int]]:
-        """Rows of the intersection matrix of the final surface over
-        ``curves`` (default: every curve)."""
-        if curves is None:
-            curves = self.names
-        return [[self.inter[a][b] for b in curves] for a in curves]
-
     def _validate_support(self, z: Cycle, stage: int | None = None) -> None:
         allowed = self.inter if stage is None else self.stage_names(stage)
         for n in z.support():
@@ -381,9 +374,6 @@ class ResolutionModel:
                 if row[b]:
                     total += qa * qb * row[b]
         return total
-
-    def dot_curve(self, z: Cycle, name: str) -> int | Fraction:
-        return self.dot(z, Cycle({name: 1}))
 
     def curve_rows(
         self, coeffs: Iterable[tuple[str, int | Fraction]]

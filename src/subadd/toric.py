@@ -250,14 +250,6 @@ def cyclic_quotient_ring(r: int, weights: Sequence[int]) -> ToricRing:
     return ToricRing(len(tuple(weights)), [(tuple(weights), r)])
 
 
-def is_gorenstein_cyclic(r: int, weights: Sequence[int]) -> bool:
-    """Gorenstein test for 1/r(w): the weights sum to 0 mod r.
-
-    This is a standard toric criterion, used here as an external fact.
-    """
-    return sum(weights) % r == 0
-
-
 def _dominance_minimal(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Componentwise-minimal elements, sorted by (coordinate sum,
     coordinates) on both paths; input points must lie in one lattice M
@@ -823,9 +815,6 @@ class MonomialCertificate:
     box holds more than ``_WITNESS_SCAN_CAP`` lattice points.
     """
 
-    ring: ToricRing
-    ideal_a: MonomialIdeal
-    ideal_b: MonomialIdeal
     exponent_a: Fraction
     exponent_b: Fraction
     j_product: MonomialIdeal
@@ -936,9 +925,6 @@ def _certify(
                 "internal bug"
             )
     return MonomialCertificate(
-        ring=a.ring,
-        ideal_a=a,
-        ideal_b=b,
         exponent_a=ca,
         exponent_b=cb,
         j_product=j_product,

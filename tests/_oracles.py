@@ -1,6 +1,8 @@
 """Independent oracles for the test suite.
 
-Everything here recomputes library results by a different route: box
+Everything here recomputes library results by a different route:
+intersection numbers and blocks read straight off the intersection
+table, the closed-form closure of Z - K for integral K, box
 enumeration for anti-nef closures and fundamental cycles, one dense
 Gauss-Jordan solve per stage for relative canonical divisors and one
 on the final surface for total transforms of marked curves, rank and
@@ -34,6 +36,47 @@ def prefix_model(model, stage: int):
     """The model of the base graph and the first ``stage`` blowups: its
     final surface is the stage-``stage`` surface of ``model``."""
     return build_model(model.base_curves, model.base_edges, model.blowups[:stage])
+
+
+def intersection_matrix(model, curves=None) -> list[list[int]]:
+    """Rows of the intersection matrix of the final surface over
+    ``curves`` (default: every curve), read off the model's table."""
+    if curves is None:
+        curves = model.names
+    return [[model.inter[a][b] for b in curves] for a in curves]
+
+
+def dot_curve(model, z: Cycle, name: str):
+    """z.C for the curve C called ``name``, one table entry per curve
+    of z."""
+    return sum(q * model.inter[a][name] for a, q in z.items())
+
+
+class NotGorensteinError(ValueError):
+    """The closed-form closure formula needs an integral K."""
+
+
+def gorenstein_closure_formula(model, z: Cycle) -> Cycle:
+    """Closed form for the closure of Z - K when K is integral:
+
+        Z - K + sum of pullback(E_i) over blowups i whose stage-i
+        pushforward of Z is orthogonal to E_i,
+
+    where that pushforward meets E_i (E_i^2 = -1, meeting each center
+    curve once) in the center coefficients of Z minus its E_i
+    coefficient. Raises NotGorensteinError on fractional K and
+    ValueError on a non-integral or non-anti-nef Z.
+    """
+    k = model.relative_canonical
+    if not k.is_integral():
+        raise NotGorensteinError("relative canonical divisor is not integral")
+    if not z.is_integral() or not model.is_anti_nef(z):
+        raise ValueError("the closure formula needs an integral anti-nef cycle")
+    result = z - k
+    for name, pb in zip(model.blowup_names, model.blowup_pullbacks()):
+        if sum(z.coeff(c) for c in model.center_of[name]) == z.coeff(name):
+            result = result + pb
+    return result
 
 
 def brute_anti_nef_closure(model, z: Cycle, extra: int = 3) -> Cycle:
@@ -126,7 +169,7 @@ def stage_canonical_dense(model, stage: int) -> Cycle:
     adjunction system K.E = -E^2 - 2 over that stage's exceptional
     curves."""
     exc = [n for n in model.stage_names(stage) if model.kind[n] == EXCEPTIONAL]
-    m = prefix_model(model, stage).intersection_matrix(curves=exc)
+    m = intersection_matrix(prefix_model(model, stage), exc)
     rhs = [-m[i][i] - 2 for i in range(len(exc))]
     return Cycle(dict(zip(exc, _fraction_solve(m, rhs))))
 
@@ -146,7 +189,7 @@ def naive_ceil_closure_by_stages(model, z: Cycle) -> Cycle:
         k_here = stage_canonical_dense(model, i).ceil()
         mass = sum(k_prev.coeff(c) for c in model.center_of[name])
         commutes = k_here == k_prev + Cycle({name: mass + 1})
-        if commutes and here.dot_curve(z.restrict(here.names), name) == 0:
+        if commutes and dot_curve(here, z.restrict(here.names), name) == 0:
             result = result + pb
         k_prev = k_here
     return result
@@ -157,7 +200,7 @@ def total_transform_dense(model, name: str) -> Cycle:
     exceptional block: D plus the exceptional cycle x with
     x.E = -D.E on every exceptional curve E."""
     exc = model.exceptional
-    m = model.intersection_matrix(curves=exc)
+    m = intersection_matrix(model, exc)
     x = _fraction_solve(m, [-model.inter[name][e] for e in exc])
     return Cycle({name: 1, **dict(zip(exc, x))})
 
@@ -214,7 +257,7 @@ def anti_nef_test_d(model, dc: DCoordinates, prox: ProximityData | None = None) 
         return False
     base = prefix_model(model, 0)
     for c in base.exceptional:
-        row = base.dot_curve(dc.base, c)
+        row = dot_curve(base, dc.base, c)
         for name, di in zip(model.blowup_names, dc.d):
             if c in prox.prox_base[name]:
                 row += di

@@ -1,7 +1,10 @@
 import builtins
 import functools
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import time
 from fractions import Fraction
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subadd
 from subadd import cli
 from subadd import proximity as px
 from subadd.cli import main
@@ -376,6 +380,60 @@ def test_unmapped_exception_exits_4(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+# the exit status of every exception class a subadd module defines: a new
+# class fails the test below until its status is decided here
+_EXIT_STATUS = {
+    "ParseError": 2,
+    "ModelError": 2,
+    "InvalidCenterError": 2,
+    "NotNegativeDefiniteError": 2,
+    "NotAntiNefError": 2,
+    "NonIntegralError": 2,
+    "NegativeMarkedError": 2,
+    "InvalidParametersError": 2,
+    "NoLambdaError": 2,
+    "NoQualifyingCycleError": 2,
+    "RingMismatchError": 2,
+    "OutOfScaleError": 3,
+    "MemoryError": 3,
+    "ClassificationViolationError": 4,
+    "StageOutOfRangeError": 4,
+    "SingularMatrixError": 4,
+    "NonSymmetricError": 4,
+    "UnknownExampleError": 4,
+}
+
+
+def _exception_classes() -> list[type]:
+    found = {MemoryError}
+    for info in pkgutil.iter_modules(subadd.__path__):
+        module = importlib.import_module(f"subadd.{info.name}")
+        found.update(
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        )
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("exc", _exception_classes(), ids=lambda cls: cls.__name__)
+def test_exit_status_per_exception_class(capsys, monkeypatch, exc):
+    def raising(ideal, c):
+        raise exc("raised on purpose")
+
+    monkeypatch.setattr("subadd.toric.multiplier_monomials", raising)
+    code, report = run(
+        capsys,
+        "multiplier",
+        "--ring", str(DATA / "q41_ring.json"),
+        "--ideal", str(DATA / "q41_ideal.json"),
+        "-c", "1/2",
+    )
+    assert exc.__name__ in _EXIT_STATUS, f"{exc.__name__} has no exit status yet"
+    assert code == _EXIT_STATUS[exc.__name__]
+    assert report["status"] == "error"
+    assert report["error"].endswith("raised on purpose")
+
+
 def test_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):
@@ -452,6 +510,52 @@ def test_explore_pinned_non_gorenstein_ring_finds_violation(capsys):
     results = report["results"]
     assert (results["trials_run"], results["trials_skipped"]) == (1, 0)
     assert results["violations"][0]["certificate"]["witness"] == [10, 3, 7]
+
+
+_PINNED = ["--ring", str(DATA / "q41_ring.json"), "--ideal-a", str(DATA / "q41_ideal.json")]
+
+
+# a pinned ring draws no ring and two pinned ideals draw no ideal; the
+# refused options are given at their default values, so they are told
+# apart from the default by being given, not by their value
+_BOTH = ["--ideal-b", str(DATA / "q41_ideal.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--rank", "2"], "--rank 2"),
+        (["--rank", "4"], "--rank 4"),
+        (["--modulus-min", "2"], "--modulus-min"),
+        (["--modulus-max", "13"], "--modulus-max"),
+        (["--no-gorenstein-filter"], "--no-gorenstein-filter"),
+        (_BOTH + ["--max-generators", "4"], "--max-generators"),
+        (_BOTH + ["--max-coordinate", "30"], "--max-coordinate"),
+    ],
+    ids=["rank below the ring's", "rank above the ring's", "modulus-min", "modulus-max",
+         "no-gorenstein-filter", "max-generators with both ideals",
+         "max-coordinate with both ideals"],
+)
+def test_explore_unused_drawing_option_is_input_error(capsys, argv, named):
+    code, report = run(capsys, "explore", *_PINNED, "--trials", "1", *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert named in report["error"]
+
+
+def test_explore_arguments_show_what_ran(capsys):
+    # drawn runs echo the drawing defaults; a pinned ring echoes its own
+    # rank and takes the ideal options while one ideal is still drawn
+    drawn = {"rank": 3, "modulus_min": 2, "modulus_max": 13, "max_generators": 4,
+             "max_coordinate": 30, "no_gorenstein_filter": False}
+    _, report = run(capsys, "explore", "--trials", "1")
+    assert drawn.items() <= report["arguments"].items()
+    code, report = run(capsys, "explore", *_PINNED, "--trials", "1", "--rank", "3",
+                       "--max-generators", "3", "--max-coordinate", "12")
+    assert code in (0, 1)
+    assert {"rank": 3, "max_generators": 3, "max_coordinate": 12}.items() <= (
+        report["arguments"].items()
+    )
 
 
 _CHECK2D = ["check2d", "--model", str(DATA / "a1_model.json"),
@@ -687,7 +791,7 @@ def _layout(value, rows: bool, pad: str = "\n") -> str:
         (["multiplier", *_Q41, "--ideal", str(DATA / "q41_ideal.json"), "-c", "1/2"], True),
         (_CHECKMONO, True),
         (["strongmono", *_Q41_PAIR, "-c", "1", "-d", "1"], True),
-        (["explore", *_Q41_PAIR, "--trials", "1", "--no-gorenstein-filter"], True),
+        (["explore", *_Q41_PAIR, "--trials", "1"], True),
         (["explore", "--trials", "2", "--seed", "11", "--max-coordinate", "10"], False),
     ],
     ids=[f"reproduce-{case}" for case in case_ids()]

@@ -143,10 +143,6 @@ class TestToricRing:
         assert one != tc.ToricRing(3, [((1, 2, 0), 3)])
         assert one != tc.ToricRing(3) and tc.ToricRing(2) != tc.ToricRing(3)
 
-    def test_gorenstein_predicate(self):
-        assert tc.is_gorenstein_cyclic(10, (7, 7, 6))
-        assert not tc.is_gorenstein_cyclic(41, (35, 28, 20))
-
 
 class TestLatticeCoset:
     def test_matches_brute_force(self):
@@ -1328,12 +1324,52 @@ def _metamorphic_case(rng: random.Random, rank: int):
 
 _METAMORPHIC_CASES = [(rank, seed) for rank in (2, 3, 4) for seed in range(40)]
 
+# fractional exponents (c, d) of the strongmono cases, one drawn per ring
+_STRONG_EXPONENTS = [
+    (Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), Fraction(3, 2)),
+    (Fraction(3, 4), Fraction(5, 4)),
+]
+
+
+def _first(points):
+    """The first point in the engine's (sum, coordinates) order."""
+    return min(points, key=lambda v: (sum(v), v), default=None)
+
+
+def _assert_certificates_map(cert, cert2, move) -> None:
+    """``cert2`` is ``cert`` carried by the point map ``move``: the
+    verdict, J(a^c b^d) and the failures map, and each witness is the
+    first failure of its certificate."""
+    assert cert2.verdict == cert.verdict
+    assert set(cert2.j_product.generators) == move(cert.j_product.generators)
+    assert set(cert2.failures) == move(cert.failures)
+    assert cert.witness == _first(cert.failures)
+    assert cert2.witness == _first(move(cert.failures))
+
+
+def _rescaled_cases(tag: str):
+    """The metamorphic cases whose ring has steps s != 1, each with the
+    rescaled ring's two ideals and the map v -> v / s."""
+    for rank, seed in _METAMORPHIC_CASES:
+        rng = random.Random(f"{tag}:{rank}:{seed}")
+        r, weights, a, b = _metamorphic_case(rng, rank)
+        s = a.ring.coordinate_steps
+        if s == (1,) * rank:
+            continue
+        ring = tc.cyclic_quotient_ring(r, [w * t for w, t in zip(weights, s)])
+
+        def down(points, s=s):
+            return {tuple(x // t for x, t in zip(v, s)) for v in points}
+
+        a2, b2 = (tc.MonomialIdeal(ring, down(i.generators)) for i in (a, b))
+        yield rng, a, b, a2, b2, down
+
 
 class TestMetamorphic:
-    """Two maps that must commute with the engine, checked without an
-    oracle on 120 seeded rings: a coordinate permutation, and the
-    division by the coordinate steps s onto the unit-step ring
-    1/r(w_i s_i)."""
+    """Two maps that must commute with the engine and the certificates,
+    checked without an oracle on 120 seeded rings: a coordinate
+    permutation, and the division by the coordinate steps s onto the
+    unit-step ring 1/r(w_i s_i)."""
 
     def test_permutation(self):
         verdicts = set()
@@ -1374,3 +1410,38 @@ class TestMetamorphic:
                 assert set(got) == down(tc.multiplier_monomials(a, c).generators)
             scaled += s != (1,) * rank
         assert scaled >= 10
+
+    def test_strongmono_permutation(self):
+        verdicts = set()
+        for rank, seed in _METAMORPHIC_CASES:
+            rng = random.Random(f"strong-permute:{rank}:{seed}")
+            r, weights, a, b = _metamorphic_case(rng, rank)
+            perm = rng.sample(range(rank), rank)
+
+            def move(points):
+                return {tuple(v[p] for p in perm) for v in points}
+
+            ring = tc.cyclic_quotient_ring(r, [weights[p] for p in perm])
+            a2, b2 = (tc.MonomialIdeal(ring, move(i.generators)) for i in (a, b))
+            c, d = rng.choice(_STRONG_EXPONENTS)
+            cert = tc.strong_subadd_check_monomial(a, b, c, d)
+            _assert_certificates_map(cert, tc.strong_subadd_check_monomial(a2, b2, c, d), move)
+            verdicts.add(cert.verdict)
+        assert verdicts == {True, False}
+
+    def test_strongmono_rescaling(self):
+        verdicts = []
+        for rng, a, b, a2, b2, down in _rescaled_cases("strong-rescale"):
+            c, d = rng.choice(_STRONG_EXPONENTS)
+            cert = tc.strong_subadd_check_monomial(a, b, c, d)
+            _assert_certificates_map(cert, tc.strong_subadd_check_monomial(a2, b2, c, d), down)
+            verdicts.append(cert.verdict)
+        assert len(verdicts) >= 10 and set(verdicts) == {True, False}
+
+    def test_checkmono_rescaling(self):
+        verdicts = []
+        for _, a, b, a2, b2, down in _rescaled_cases("check-rescale"):
+            cert = tc.subadditivity_check_monomial(a, b)
+            _assert_certificates_map(cert, tc.subadditivity_check_monomial(a2, b2), down)
+            verdicts.append(cert.verdict)
+        assert len(verdicts) >= 10 and set(verdicts) == {True, False}
